@@ -7,6 +7,13 @@ per-rule length lookup collapses into rank over a one-bit-per-rule vector
 plus a small array of distinct lengths, and the start-rule symbol covering
 a position is found with one rank/select pair over a text-length vector.
 
+Each index has exactly one descent, its ``_locate``, which returns the
+leaf's terminal code and the stack of rules passed on the way down.
+``access``, ``access_trace`` and ``extract`` are written once on top of
+it: ``extract`` continues the in-order walk from that stack,
+``access`` is a length-1 ``extract``, and ``access_trace`` reads the
+visited rules off the stack.
+
 Both indexes are immutable after construction; any number of threads may
 query them concurrently.
 """
@@ -58,7 +65,48 @@ def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int) -> N
         need -= 1
 
 
-class FolkloreIndex:
+class _Index:
+    """Queries shared by both indexes; each subclass supplies ``_locate``.
+
+    ``_locate(p)`` descends to the leaf at 1-based position p and returns
+    the leaf's terminal code with the ``[body, next_index]`` stack of the
+    rules it passed through, so ``body[next_index - 1]`` is the symbol
+    each level descended into.
+    """
+
+    def access(self, p: int) -> int:
+        """Byte value at 1-based position p."""
+        return self.extract(p, 1)[0]
+
+    def access_trace(self, p: int) -> tuple[int, list[int]]:
+        """Like access, also returning the visited rule-id sequence."""
+        if p < 1 or p > self.n:
+            raise _out_of_range(p, self.n)
+        stack, sym = self._locate(p)
+        rules = self.grammar.rules
+        sigma = len(self.grammar.alphabet)
+        trace = [len(rules)]
+        for body, i in stack:
+            s = body[i - 1]
+            if s >= sigma:
+                trace.append(s - sigma + 1)
+        return self.grammar.alphabet[sym], trace
+
+    def extract(self, p: int, count: int) -> bytes:
+        """Substring of ``count`` bytes starting at 1-based position p.
+
+        Only the first byte is located by descent; the rest streams out of
+        an in-order continuation of the derivation-tree walk.
+        """
+        if count < 1 or p < 1 or p + count - 1 > self.n:
+            raise _out_of_range(p, self.n)
+        stack, sym = self._locate(p)
+        out = bytearray((sym,))
+        _walk_leaves(self.grammar.rules, len(self.grammar.alphabet), stack, out, count - 1)
+        return bytes(out.translate(self._table))
+
+
+class FolkloreIndex(_Index):
     """CNF grammar plus the expansion length of every rule's left child."""
 
     kind = "folklore"
@@ -69,56 +117,15 @@ class FolkloreIndex:
         self.n = n
         self._table = _byte_table(grammar)
 
-    def access(self, p: int) -> int:
-        """Byte value at 1-based position p."""
-        if p < 1 or p > self.n:
-            raise _out_of_range(p, self.n)
+    def _locate(self, p: int) -> tuple[list[list], int]:
         rules = self.grammar.rules
         sigma = len(self.grammar.alphabet)
         lefts = self.left_lengths
-        j = len(rules)
-        body = rules[j - 1]
-        while len(body) == 2:
-            left_len = lefts[j - 1]
-            if p <= left_len:
-                j = body[0] - sigma + 1
-            else:
-                p -= left_len
-                j = body[1] - sigma + 1
-            body = rules[j - 1]
-        return self.grammar.alphabet[body[0]]
-
-    def access_trace(self, p: int) -> tuple[int, list[int]]:
-        """Like access, also returning the visited rule-id sequence."""
-        if p < 1 or p > self.n:
-            raise _out_of_range(p, self.n)
-        rules = self.grammar.rules
-        sigma = len(self.grammar.alphabet)
-        j = len(rules)
-        trace = [j]
-        body = rules[j - 1]
-        while len(body) == 2:
-            left_len = self.left_lengths[j - 1]
-            if p <= left_len:
-                j = body[0] - sigma + 1
-            else:
-                p -= left_len
-                j = body[1] - sigma + 1
-            trace.append(j)
-            body = rules[j - 1]
-        return self.grammar.alphabet[body[0]], trace
-
-    def extract(self, p: int, count: int) -> bytes:
-        """Substring of ``count`` bytes starting at 1-based position p."""
-        if count < 1 or p < 1 or p + count - 1 > self.n:
-            raise _out_of_range(p, self.n)
-        rules = self.grammar.rules
-        sigma = len(self.grammar.alphabet)
         stack: list[list] = []
         j = len(rules)
         body = rules[j - 1]
         while len(body) == 2:
-            left_len = self.left_lengths[j - 1]
+            left_len = lefts[j - 1]
             if p <= left_len:
                 stack.append([body, 1])
                 j = body[0] - sigma + 1
@@ -127,12 +134,10 @@ class FolkloreIndex:
                 stack.append([body, 2])
                 j = body[1] - sigma + 1
             body = rules[j - 1]
-        out = bytearray((body[0],))
-        _walk_leaves(rules, sigma, stack, out, count - 1)
-        return bytes(out.translate(self._table))
+        return stack, body[0]
 
 
-class FrasIndex:
+class FrasIndex(_Index):
     """Sorted grammar, distinct-length array and the two query bitvectors."""
 
     def __init__(
@@ -154,68 +159,7 @@ class FrasIndex:
     def kind(self) -> str:
         return f"fras-{self.start_marks.kind}"
 
-    def access(self, p: int) -> int:
-        """Byte value at 1-based position p."""
-        if p < 1 or p > self.n:
-            raise _out_of_range(p, self.n)
-        start_marks = self.start_marks
-        r = start_marks.rank(p)
-        p -= start_marks.select(r) - 1
-        rules = self.grammar.rules
-        sym = rules[-1][r - 1]
-        sigma = len(self.grammar.alphabet)
-        lengths = self.unique_lengths
-        rule_rank = self.rule_marks.rank
-        while sym >= sigma:
-            body = rules[sym - sigma]
-            i = 0
-            last = len(body) - 1
-            while i < last:
-                s = body[i]
-                ln = 1 if s < sigma else lengths[rule_rank(s - sigma + 1) - 1]
-                if p <= ln:
-                    break
-                p -= ln
-                i += 1
-            sym = body[i]
-        return self.grammar.alphabet[sym]
-
-    def access_trace(self, p: int) -> tuple[int, list[int]]:
-        """Like access, also returning the visited rule-id sequence."""
-        if p < 1 or p > self.n:
-            raise _out_of_range(p, self.n)
-        start_marks = self.start_marks
-        r = start_marks.rank(p)
-        p -= start_marks.select(r) - 1
-        rules = self.grammar.rules
-        trace = [len(rules)]
-        sym = rules[-1][r - 1]
-        sigma = len(self.grammar.alphabet)
-        lengths = self.unique_lengths
-        rule_rank = self.rule_marks.rank
-        while sym >= sigma:
-            trace.append(sym - sigma + 1)
-            body = rules[sym - sigma]
-            i = 0
-            last = len(body) - 1
-            while i < last:
-                s = body[i]
-                ln = 1 if s < sigma else lengths[rule_rank(s - sigma + 1) - 1]
-                if p <= ln:
-                    break
-                p -= ln
-                i += 1
-            sym = body[i]
-        return self.grammar.alphabet[sym], trace
-
-    def extract(self, p: int, count: int) -> bytes:
-        """Substring of ``count`` bytes starting at 1-based position p.
-
-        Only the first byte is located by descent; the rest streams out of
-        an in-order continuation of the derivation-tree walk.
-        """
-        if count < 1 or p < 1 or p + count - 1 > self.n:
-            raise _out_of_range(p, self.n)
+    def _locate(self, p: int) -> tuple[list[list], int]:
         start_marks = self.start_marks
         r = start_marks.rank(p)
         p -= start_marks.select(r) - 1
@@ -238,9 +182,7 @@ class FrasIndex:
                 i += 1
             stack.append([body, i + 1])
             sym = body[i]
-        out = bytearray((sym,))
-        _walk_leaves(rules, sigma, stack, out, count - 1)
-        return bytes(out.translate(self._table))
+        return stack, sym
 
 
 def build_folklore(g: Grammar) -> FolkloreIndex:

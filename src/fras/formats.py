@@ -203,7 +203,10 @@ def _read_bitvector(cur: _Cursor) -> PlainBitvector | SparseBitvector:
         num_set = cur.u64()
         nwords = cur.u64()
         words = _unpack("Q", cur.take(8 * nwords))
-        return PlainBitvector.from_words(words, universe, num_set)
+        try:
+            return PlainBitvector.from_words(words, universe, num_set)
+        except ValueError as exc:
+            raise FormatError(f"malformed plain bitvector: {exc}") from exc
     if tag == _BV_SPARSE:
         universe = cur.u64()
         num_set = cur.u64()
@@ -213,7 +216,10 @@ def _read_bitvector(cur: _Cursor) -> PlainBitvector | SparseBitvector:
         high = _read_bitvector(cur)
         if not isinstance(high, PlainBitvector):
             raise FormatError("sparse bitvector high bits must be plain")
-        return SparseBitvector.from_parts(universe, num_set, w, lows, high)
+        try:
+            return SparseBitvector.from_parts(universe, num_set, w, lows, high)
+        except ValueError as exc:
+            raise FormatError(f"malformed sparse bitvector: {exc}") from exc
     raise FormatError(f"unknown bitvector kind tag: {tag}")
 
 

@@ -69,33 +69,6 @@ class Grammar:
     alphabet: tuple[int, ...]
     rules: tuple[tuple[int, ...], ...]
 
-    @property
-    def sigma(self) -> int:
-        return len(self.alphabet)
-
-    @property
-    def num_rules(self) -> int:
-        return len(self.rules)
-
-    @property
-    def start(self) -> int:
-        """Rule id of the start rule (always the last rule)."""
-        return len(self.rules)
-
-    def body(self, rule_id: int) -> tuple[int, ...]:
-        return self.rules[rule_id - 1]
-
-    def is_terminal(self, code: int) -> bool:
-        return code < len(self.alphabet)
-
-    def rule_of(self, code: int) -> int:
-        """Rule id denoted by a non-terminal symbol code."""
-        return code - len(self.alphabet) + 1
-
-    def code_of(self, rule_id: int) -> int:
-        """Symbol code that references the given rule."""
-        return len(self.alphabet) + rule_id - 1
-
 
 def validate(g: Grammar) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""

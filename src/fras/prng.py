@@ -31,10 +31,6 @@ class Prng:
         self._s0 = s0
         self._s1 = s1
 
-    @property
-    def state(self) -> tuple[int, int]:
-        return self._s0, self._s1
-
     def next_u64(self) -> int:
         s0 = self._s0
         s1 = self._s1

@@ -14,7 +14,7 @@ from fras import (
     sort_and_renumber,
     validate,
 )
-from helpers import naive_rule_expansions, random_grammar, random_text
+from helpers import naive_expand, naive_rule_expansions, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
 
@@ -203,6 +203,40 @@ class TestSortedDescentEquivalence:
         gs, _ = sort_and_renumber(fig1)
         idx = build_fras(gs, "plain")
         assert idx.grammar.rules == gs.rules
+
+
+class TestGeneralGrammarTraces:
+    @staticmethod
+    def check_every_position(idx, text):
+        g = idx.grammar
+        sigma = len(g.alphabet)
+        for p in range(1, len(text) + 1):
+            byte, trace = idx.access_trace(p)
+            assert idx.access(p) == idx.extract(p, 1)[0] == byte == text[p - 1]
+            assert trace[0] == len(g.rules)
+            for parent, child in zip(trace, trace[1:]):
+                assert sigma + child - 1 in g.rules[parent - 1]
+            assert g.alphabet.index(byte) in g.rules[trace[-1] - 1]
+
+    @staticmethod
+    def indexes(g):
+        return [build_fras(g, "plain"), build_fras(g, "sparse"), build_folklore(binarize_cnf(g))]
+
+    def test_random_grammars(self):
+        rng = random.Random(131)
+        for _ in range(30):
+            g = random_grammar(rng, max_rules=10)
+            text = naive_expand(g)
+            for idx in self.indexes(g):
+                self.check_every_position(idx, text)
+
+    def test_inlined_repair_grammars(self):
+        rng = random.Random(137)
+        for _ in range(10):
+            t = random_text(rng, rng.randint(20, 400), rng.randint(1, 5))
+            g = inline_single_use(repair_compress(t))
+            for idx in self.indexes(g):
+                self.check_every_position(idx, t)
 
 
 class TestFrasInvariants:

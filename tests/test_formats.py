@@ -199,3 +199,14 @@ class TestIndexErrors:
         data = index_to_bytes(build_folklore(binarize_cnf(fig1)))
         with pytest.raises(FormatError, match="trailing data"):
             index_from_bytes(data + b"\x00")
+
+    @pytest.mark.parametrize("kind", ["plain", "sparse"])
+    def test_corrupt_bitvector_words_raise_format_error(self, kind):
+        # The last 40 bytes lie inside the start-mark bitvector: every flip
+        # trips one of its consistency checks, which must surface as FormatError.
+        data = index_to_bytes(build_fras(repair_compress(b"abracadabra" * 20), kind))
+        for k in range(len(data) - 40, len(data)):
+            corrupted = bytearray(data)
+            corrupted[k] ^= 0x80
+            with pytest.raises(FormatError):
+                index_from_bytes(bytes(corrupted))
