@@ -43,6 +43,10 @@ def _out_of_range(p: int, n: int) -> AccessError:
     return AccessError("position-out-of-range", f"p={p}, n={n}")
 
 
+def _malformed(p: int, exc: Exception) -> AccessError:
+    return AccessError("malformed-index", f"query at p={p} failed: {exc!r}")
+
+
 def _byte_table(g: Grammar) -> bytes:
     return bytes(g.alphabet[i] if i < len(g.alphabet) else 0 for i in range(256))
 
@@ -71,7 +75,9 @@ class _Index:
     ``_locate(p)`` descends to the leaf at 1-based position p and returns
     the leaf's terminal code with the ``[body, next_index]`` stack of the
     rules it passed through, so ``body[next_index - 1]`` is the symbol
-    each level descended into.
+    each level descended into.  A ``ValueError`` or ``IndexError`` raised
+    below a query means the index's tables are inconsistent and reaches the
+    caller as ``AccessError("malformed-index", ...)``.
     """
 
     def access(self, p: int) -> int:
@@ -82,7 +88,10 @@ class _Index:
         """Like access, also returning the visited rule-id sequence."""
         if p < 1 or p > self.n:
             raise _out_of_range(p, self.n)
-        stack, sym = self._locate(p)
+        try:
+            stack, sym = self._locate(p)
+        except (ValueError, IndexError) as exc:
+            raise _malformed(p, exc) from exc
         rules = self.grammar.rules
         sigma = len(self.grammar.alphabet)
         trace = [len(rules)]
@@ -100,9 +109,12 @@ class _Index:
         """
         if count < 1 or p < 1 or p + count - 1 > self.n:
             raise _out_of_range(p, self.n)
-        stack, sym = self._locate(p)
-        out = bytearray((sym,))
-        _walk_leaves(self.grammar.rules, len(self.grammar.alphabet), stack, out, count - 1)
+        try:
+            stack, sym = self._locate(p)
+            out = bytearray((sym,))
+            _walk_leaves(self.grammar.rules, len(self.grammar.alphabet), stack, out, count - 1)
+        except (ValueError, IndexError) as exc:
+            raise _malformed(p, exc) from exc
         return bytes(out.translate(self._table))
 
 

@@ -10,8 +10,8 @@ the same fields for debugging and hand-written inputs.
 Index files (extension ``.fix``): magic ``FRIX1\\0``, a kind tag, the
 grammar section verbatim, then the kind's tables (u64 lengths) and
 bitvectors (kind tag, universe, set-bit count, packed 64-bit words).
-Rank/select directories are rebuilt on load, so re-serialization is
-byte-identical.
+Rank directories and the sparse bucket table are rebuilt on load, so
+re-serialization is byte-identical.
 """
 
 from __future__ import annotations

@@ -5,16 +5,18 @@ prefix ``[1..i]`` (``rank(0) == 0``) and ``select(r)`` returns the
 position of the r-th set bit.  Two representations are provided: a plain
 packed bitvector with a two-level rank directory, and a sparse high/low
 split encoding for position sets that are small relative to the universe.
-Both are immutable after construction.
+Neither keeps a select index: select bisects over the plain vector's rank
+directory, or over the sparse vector's bucket table.  Both are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 _WORDS_PER_SUPER = 8  # 512-bit superblocks
-_SELECT_SAMPLE = 8192
 
 
 def ceil_log2_ratio(p: int, q: int) -> int:
@@ -38,7 +40,11 @@ def _check_positions(positions: Sequence[int], universe: int) -> None:
 
 
 class PlainBitvector:
-    """Packed 64-bit-word bitvector with O(1) rank and sampled select."""
+    """Packed 64-bit-word bitvector with O(1) rank.
+
+    Select is a bisect over the rank directory: over the superblock counts,
+    then over the at most eight word counts of one superblock.
+    """
 
     kind = "plain"
 
@@ -52,9 +58,6 @@ class PlainBitvector:
             words[(p - 1) >> 6] |= 1 << ((p - 1) & 63)
         self._words = words
         self._build_directories()
-        self._samples = array(
-            "Q", ((positions[k] - 1) >> 6 for k in range(0, self.num_set, _SELECT_SAMPLE))
-        )
 
     @classmethod
     def from_words(cls, words: Sequence[int], universe: int, num_set: int) -> "PlainBitvector":
@@ -69,22 +72,12 @@ class PlainBitvector:
         spare = bv._words[-1] | (bv._words[-2] >> tail if tail else 0)
         if spare:
             raise ValueError("invalid position set: bits beyond universe")
-        bv._build_directories()
-        samples: list[int] = []
-        seen = 0
-        target = 1
-        for w, word in enumerate(bv._words):
-            c = word.bit_count()
-            if seen < target <= seen + c:
-                samples.append(w)
-                target += _SELECT_SAMPLE
-            seen += c
-        if seen != num_set:
+        if bv._build_directories() != num_set:
             raise ValueError("invalid position set: popcount mismatch")
-        bv._samples = array("Q", samples)
         return bv
 
-    def _build_directories(self) -> None:
+    def _build_directories(self) -> int:
+        """Build the rank directory; returns the number of set bits."""
         supers = array("Q")
         blocks = array("H", bytes(2 * len(self._words)))
         total = 0
@@ -99,6 +92,7 @@ class PlainBitvector:
             total += c
         self._supers = supers
         self._blocks = blocks
+        return total
 
     def rank(self, i: int) -> int:
         if i == 0:
@@ -113,38 +107,27 @@ class PlainBitvector:
             + (self._words[w] & mask).bit_count()
         )
 
-    def _rank_before_word(self, w: int) -> int:
-        return self._supers[w >> 3] + self._blocks[w]
-
     def select(self, r: int) -> int:
         if r < 1 or r > self.num_set:
             raise ValueError("select out of range")
-        k = (r - 1) // _SELECT_SAMPLE
-        lo = self._samples[k]
-        hi = (
-            self._samples[k + 1]
-            if k + 1 < len(self._samples)
-            else len(self._words) - 1
-        )
-        # Largest word whose preceding count is still below r.
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if self._rank_before_word(mid) < r:
-                lo = mid
-            else:
-                hi = mid - 1
-        need = r - self._rank_before_word(lo)
-        word = self._words[lo]
+        # Last superblock, then last word in it, whose preceding count is below r.
+        s = bisect_left(self._supers, r) - 1
+        need = r - self._supers[s]
+        blocks = self._blocks
+        first = s * _WORDS_PER_SUPER
+        w = bisect_left(blocks, need, first, min(first + _WORDS_PER_SUPER, len(blocks))) - 1
+        need -= blocks[w]
+        word = self._words[w]
         for _ in range(need - 1):
             word &= word - 1
-        return (lo << 6) + (word & -word).bit_length()
+        return (w << 6) + (word & -word).bit_length()
 
     def words(self) -> array:
         return self._words
 
     def space_report(self) -> dict[str, int]:
         payload = 64 * len(self._words)
-        aux = 64 * len(self._supers) + 16 * len(self._blocks) + 64 * len(self._samples)
+        aux = 64 * len(self._supers) + 16 * len(self._blocks)
         return {"payload_bits": payload, "auxiliary_bits": aux, "bound_bits": payload}
 
 
@@ -153,8 +136,9 @@ class SparseBitvector:
 
     Values are split into ``w = max(0, floor(log2(universe / b)))`` low
     bits, stored packed, and bucket indices encoded in unary in a plain
-    bitvector (b ones, one zero per bucket).  A per-bucket offset table
-    over the high bits serves rank; select runs off the high bits alone.
+    bitvector (b ones, one zero per bucket).  A table of each bucket's
+    first rank serves both queries: rank reads a bucket's range off it and
+    bisects the low bits inside, and select bisects over it for the bucket.
     """
 
     kind = "sparse"
@@ -189,7 +173,7 @@ class SparseBitvector:
         self._bucket_start = self._build_bucket_starts(positions)
 
     def _build_bucket_starts(self, positions: Sequence[int]) -> array:
-        starts = array("Q", bytes(8 * (self._num_buckets + 1)))
+        starts = array("I" if self.num_set < 2**32 else "Q", [0]) * (self._num_buckets + 1)
         w = self._w
         prev = -1
         for r, p in enumerate(positions):
@@ -204,7 +188,11 @@ class SparseBitvector:
     def from_parts(
         cls, universe: int, num_set: int, w: int, low_words: Sequence[int], high: PlainBitvector
     ) -> "SparseBitvector":
-        """Rebuild from serialized parts; the bucket table is recomputed."""
+        """Rebuild from serialized parts; the bucket table is recomputed.
+
+        The positions are decoded in one pass over the high words: the r-th
+        set bit (0-based) at bit offset q lies in bucket q - r.
+        """
         bv = cls.__new__(cls)
         bv.universe = universe
         bv.num_set = num_set
@@ -221,7 +209,16 @@ class SparseBitvector:
         bv._num_buckets = high.universe - num_set
         if bv._num_buckets < 1:
             raise ValueError("invalid position set: high universe too small")
-        positions = [bv.select(r) for r in range(1, num_set + 1)]
+        positions = []
+        r = 0
+        for k, word in enumerate(high.words()):
+            base = k << 6
+            while word:
+                low = word & -word
+                bucket = base + low.bit_length() - 1 - r
+                positions.append((bucket << w) + bv._low_at(r) + 1)
+                word ^= low
+                r += 1
         _check_positions(positions, universe)
         if (positions[-1] - 1) >> w != bv._num_buckets - 1:
             raise ValueError("invalid position set: high bits inconsistent")
@@ -264,16 +261,19 @@ class SparseBitvector:
         if r0 == r1 or w == 0:
             # w == 0 means every entry in bucket k has value exactly k.
             return r1
-        target = v & self._mask
-        if r1 - r0 <= 8:
-            r = r0
-            while r < r1 and self._low_at(r) <= target:
-                r += 1
-            return r
+        mask = self._mask
+        target = v & mask
+        lows = self._low_words
+        # First rank in the bucket whose low bits exceed the target.
         lo, hi = r0, r1
         while lo < hi:
             mid = (lo + hi) >> 1
-            if self._low_at(mid) <= target:
+            bit = mid * w
+            low = lows[bit >> 6] >> (bit & 63)
+            spill = (bit & 63) + w - 64
+            if spill > 0:
+                low |= lows[(bit >> 6) + 1] << (w - spill)
+            if low & mask <= target:
                 lo = mid + 1
             else:
                 hi = mid
@@ -282,7 +282,7 @@ class SparseBitvector:
     def select(self, r: int) -> int:
         if r < 1 or r > self.num_set:
             raise ValueError("select out of range")
-        bucket = self._high.select(r) - r
+        bucket = bisect_right(self._bucket_start, r - 1) - 1
         if self._w:
             return (bucket << self._w) + self._low_at(r - 1) + 1
         return bucket + 1
@@ -295,7 +295,7 @@ class SparseBitvector:
             (high_report["payload_bits"] - self._high.universe)
             + high_report["auxiliary_bits"]
             + (64 * len(self._low_words) - b * self._w)
-            + 64 * len(self._bucket_start)
+            + 8 * self._bucket_start.itemsize * len(self._bucket_start)
         )
         bound = b * (2 + ceil_log2_ratio(self.universe, b)) + 1
         return {"payload_bits": payload, "auxiliary_bits": aux, "bound_bits": bound}

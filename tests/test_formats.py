@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fras import (
+    AccessError,
     FormatError,
     Grammar,
     GrammarError,
@@ -210,3 +211,32 @@ class TestIndexErrors:
             corrupted[k] ^= 0x80
             with pytest.raises(FormatError):
                 index_from_bytes(bytes(corrupted))
+
+
+class TestCorruptIndexQueries:
+    @pytest.mark.parametrize("kind", ["plain", "sparse"])
+    def test_bit_flips_after_grammar_fail_only_as_documented(self, kind):
+        # Flip every bit after the grammar section: n, the length table and
+        # both bitvectors.  Each mutant is rejected on load, or its queries
+        # return bytes or raise AccessError; no other exception escapes.
+        # (Tables are not re-derived on load, so a mutant may answer wrongly.)
+        t = random_text(random.Random(1), 3000, 2)
+        idx = build_fras(repair_compress(t), kind)
+        data = index_to_bytes(idx)
+        start = data.index(b"FRAS1\x00", 1) + len(grammar_to_bytes(idx.grammar))
+        loaded = 0
+        for bit in range(8 * start, 8 * len(data)):
+            corrupted = bytearray(data)
+            corrupted[bit >> 3] ^= 1 << (bit & 7)
+            try:
+                mutant = index_from_bytes(bytes(corrupted))
+            except (FormatError, GrammarError):
+                continue
+            loaded += 1
+            for p in (1, mutant.n):
+                try:
+                    assert len(mutant.extract(p, mutant.n - p + 1)) == mutant.n - p + 1
+                    assert mutant.access_trace(p)[1][0] == len(mutant.grammar.rules)
+                except AccessError as exc:
+                    assert exc.kind == "malformed-index"
+        assert loaded > 0

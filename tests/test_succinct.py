@@ -200,3 +200,60 @@ def test_rank_select_property(case):
         assert bv.rank(universe) == len(positions)
         for r in range(1, len(positions) + 1):
             assert bv.select(r) == positions[r - 1]
+
+
+def mixed_word_positions(rng, universe):
+    """Set bits laid out word by word in stretches of one pattern each:
+    full 64-bit words, empty words (runs of 8+ make empty superblocks),
+    a random density, or one bit per word."""
+    positions = []
+    nwords = (universe + 63) // 64
+    w = 0
+    while w < nwords:
+        span = rng.choice((1, 3, 8, 9, 17, 40, rng.randint(1, 200)))
+        mode = rng.choice(("full", "empty", "empty", "random", "single"))
+        density = rng.random()
+        for k in range(w, min(w + span, nwords)):
+            base = 64 * k
+            if mode == "full":
+                positions.extend(range(base + 1, base + 65))
+            elif mode == "random":
+                positions.extend(base + b for b in range(1, 65) if rng.random() < density)
+            elif mode == "single":
+                positions.append(base + rng.randint(1, 64))
+        w += span
+    positions = [p for p in positions if p <= universe]
+    return positions or [universe]
+
+
+def loaded_copy(bv):
+    """Round trip through the deserialization constructors."""
+    if isinstance(bv, PlainBitvector):
+        return PlainBitvector.from_words(bv.words(), bv.universe, bv.num_set)
+    high = PlainBitvector.from_words(bv.high.words(), bv.high.universe, bv.high.num_set)
+    return SparseBitvector.from_parts(bv.universe, bv.num_set, bv.low_width, bv.low_words(), high)
+
+
+@pytest.mark.parametrize("align", [512, 64, 1])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank_select_at_scale_built_and_loaded(seed, align):
+    rng = random.Random(1000 * seed + align)
+    universe = rng.randint(60_000, 100_000)
+    universe -= universe % align
+    if align == 1 and universe % 64 == 0:
+        universe -= 1
+    positions = mixed_word_positions(rng, universe)
+    ranks = naive_ranks(positions, universe)
+    for kind in ("plain", "sparse"):
+        built = build_bitvector(positions, universe, kind)
+        loaded = loaded_copy(built)
+        assert loaded.space_report() == built.space_report()
+        for bv in (built, loaded):
+            assert bv.num_set == len(positions)
+            for r, p in enumerate(positions, start=1):
+                assert bv.select(r) == p
+                assert bv.rank(p) == r
+                assert bv.rank(p - 1) == r - 1
+            for i in range(0, universe + 1, 13):
+                assert bv.rank(i) == ranks[i]
+            assert bv.rank(universe) == len(positions)
