@@ -14,8 +14,18 @@ it: ``extract`` continues the in-order walk from that stack,
 ``access`` is a length-1 ``extract``, and ``access_trace`` reads the
 visited rules off the stack.
 
-Both indexes are immutable after construction; any number of threads may
-query them concurrently.
+``extract`` copies memoized rule expansions in bulk: the walk fills a
+per-index memo (non-terminal code -> its expansion in terminal codes, for
+rules of at most ``_MEMO_RULE_LIMIT`` bytes) as it completes rules, and
+appends an entry whole instead of descending into a rule it has seen.  The
+memo is created by the first extract longer than one byte; building,
+loading and ``access`` never create it.  Entries are read off the grammar's
+bodies alone, so a corrupted length table or bitvector cannot put wrong
+bytes into it.
+
+The memo is an index's only mutable state, and every write to it stores the
+one value its key can have, so any number of threads may query an index
+concurrently.
 """
 
 from __future__ import annotations
@@ -51,22 +61,45 @@ def _byte_table(g: Grammar) -> bytes:
     return bytes(g.alphabet[i] if i < len(g.alphabet) else 0 for i in range(256))
 
 
-def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int) -> None:
-    """Continue an in-order derivation-tree walk, appending terminal codes."""
+# Longest rule expansion, in bytes, that the extract memo stores.
+_MEMO_RULE_LIMIT = 128
+
+
+def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, memo: dict) -> None:
+    """Continue an in-order derivation-tree walk, appending terminal codes.
+
+    A non-terminal with a ``memo`` entry is copied from it.  Any other one
+    gets a ``[body, next_index, symbol, len(out)]`` frame, and its expansion
+    is stored in ``memo`` when that frame pops complete within the size
+    limit.  The two-item frames from ``_locate`` were entered mid-body and
+    are never stored.
+    """
     while need and stack:
         top = stack[-1]
-        body, i = top
+        body = top[0]
+        i = top[1]
         if i == len(body):
             stack.pop()
+            if len(top) == 4:
+                start = top[3]
+                if len(out) - start <= _MEMO_RULE_LIMIT:
+                    memo[top[2]] = bytes(out[start:])
             continue
         top[1] = i + 1
         s = body[i]
-        while s >= sigma:
-            b2 = rules[s - sigma]
-            stack.append([b2, 1])
-            s = b2[0]
-        out.append(s)
-        need -= 1
+        if s < sigma:
+            out.append(s)
+            need -= 1
+            continue
+        piece = memo.get(s)
+        if piece is None:
+            stack.append([rules[s - sigma], 0, s, len(out)])
+        elif len(piece) <= need:
+            out += piece
+            need -= len(piece)
+        else:
+            out += piece[:need]
+            return
 
 
 class _Index:
@@ -79,6 +112,8 @@ class _Index:
     below a query means the index's tables are inconsistent and reaches the
     caller as ``AccessError("malformed-index", ...)``.
     """
+
+    _memo: dict[int, bytes] | None = None  # extract memo; see the module docstring
 
     def access(self, p: int) -> int:
         """Byte value at 1-based position p."""
@@ -105,17 +140,28 @@ class _Index:
         """Substring of ``count`` bytes starting at 1-based position p.
 
         Only the first byte is located by descent; the rest streams out of
-        an in-order continuation of the derivation-tree walk.
+        an in-order continuation of the derivation-tree walk, which copies
+        the expansions of rules it has completed before.
         """
         if count < 1 or p < 1 or p + count - 1 > self.n:
             raise _out_of_range(p, self.n)
         try:
             stack, sym = self._locate(p)
             out = bytearray((sym,))
-            _walk_leaves(self.grammar.rules, len(self.grammar.alphabet), stack, out, count - 1)
+            if count > 1:
+                memo = self._memo
+                if memo is None:
+                    memo = vars(self).setdefault("_memo", {})
+                g = self.grammar
+                _walk_leaves(g.rules, len(g.alphabet), stack, out, count - 1, memo)
         except (ValueError, IndexError) as exc:
             raise _malformed(p, exc) from exc
         return bytes(out.translate(self._table))
+
+    def extract_memo_max_bits(self) -> int:
+        """Most bits the extract memo can hold: every non-start rule within its limit."""
+        lengths = expansion_lengths(self.grammar)[:-1]
+        return 8 * sum(ln for ln in lengths if ln <= _MEMO_RULE_LIMIT)
 
 
 class FolkloreIndex(_Index):

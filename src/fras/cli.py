@@ -88,7 +88,7 @@ def _space_lines(idx) -> list[str]:
         payload = 64 * len(idx.left_lengths)
         lines.append(f"measured_payload,{payload},{payload}")
         lines.append("measured_auxiliary,0,0")
-        return lines
+        return _with_memo_ceiling(lines, idx)
     size_total = sum(len(b) for b in g.rules)
     nstart = len(g.rules[-1])
     nlengths = len(idx.unique_lengths)
@@ -113,6 +113,14 @@ def _space_lines(idx) -> list[str]:
     aux = bx["auxiliary_bits"] + bs["auxiliary_bits"] + 64 * nlengths
     lines.append(f"measured_payload,{payload},{payload}")
     lines.append(f"measured_auxiliary,{aux},{aux}")
+    return _with_memo_ceiling(lines, idx)
+
+
+def _with_memo_ceiling(lines: list[str], idx) -> list[str]:
+    # Bits the lazily filled extract memo may grow to; not part of the
+    # index's stored tables, so not counted in measured_auxiliary.
+    memo = idx.extract_memo_max_bits()
+    lines.append(f"extract_memo_max_bits,{memo},{memo}")
     return lines
 
 

@@ -106,13 +106,24 @@ def grammar_to_text(g: Grammar) -> str:
 
 
 def _read_grammar_section(cur: _Cursor) -> Grammar:
+    """Read the grammar at the cursor: the rules are sliced out of one u32 array."""
     sigma = cur.u32()
     alphabet = tuple(cur.take(sigma))
     m = cur.u32()
+    data = cur.data
+    nwords = (len(data) - cur.off) // 4
+    words = _unpack("I", memoryview(data)[cur.off : cur.off + 4 * nwords])
     rules = []
+    pos = 0
     for _ in range(m):
-        k = cur.u32()
-        rules.append(tuple(_unpack("I", cur.take(4 * k))))
+        if pos == nwords:
+            raise FormatError("unexpected end of input")
+        end = pos + 1 + words[pos]
+        if end > nwords:
+            raise FormatError("unexpected end of input")
+        rules.append(tuple(words[pos + 1 : end]))
+        pos = end
+    cur.off += 4 * pos
     return Grammar(alphabet, tuple(rules))
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -9,11 +11,15 @@ from fras import (
     build_folklore,
     build_fras,
     expand,
+    index_from_bytes,
+    index_to_bytes,
     inline_single_use,
     repair_compress,
     sort_and_renumber,
     validate,
 )
+from fras.access import _MEMO_RULE_LIMIT
+from fras.corpus import repetitive_text
 from helpers import naive_expand, naive_rule_expansions, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
@@ -275,3 +281,108 @@ class TestFrasInvariants:
             assert all(a < b for a, b in zip(ul, ul[1:]))
             assert ul[-1] == idx.n
             assert validate(idx.grammar).ok
+
+
+class TestExtractMemo:
+    """The leaf walk's bulk copy: answers, memo contents and memo lifetime."""
+
+    indexes = staticmethod(TestGeneralGrammarTraces.indexes)
+
+    @staticmethod
+    def check_memo(idx):
+        g = idx.grammar
+        sigma = len(g.alphabet)
+        code = {b: i for i, b in enumerate(g.alphabet)}
+        exps = naive_rule_expansions(g)
+        for s, entry in idx._memo.items():
+            assert sigma <= s < sigma + len(g.rules) - 1
+            assert entry == bytes(code[b] for b in exps[s - sigma])
+            assert len(entry) <= _MEMO_RULE_LIMIT
+
+    @staticmethod
+    def queries(rng, n, k):
+        qs = [(1, n), (n, 1)]
+        for _ in range(k):
+            p = rng.randint(1, n)
+            qs.append((p, rng.randint(1, min(n - p + 1, 2 * _MEMO_RULE_LIMIT))))
+            qs.append((p, n - p + 1))
+        return qs
+
+    def check_grammar(self, g, text, rng):
+        qs = self.queries(rng, len(text), 60)
+        for p, c in qs[:12]:
+            for idx in self.indexes(g):  # each extract on a cold index
+                assert idx.extract(p, c) == text[p - 1 : p - 1 + c]
+        for idx in self.indexes(g):
+            for _ in range(2):  # the first pass fills the memo, the second reads it
+                for p, c in qs:
+                    assert idx.extract(p, c) == text[p - 1 : p - 1 + c]
+            self.check_memo(idx)
+
+    def test_random_grammars(self):
+        rng = random.Random(151)
+        for _ in range(30):
+            g = random_grammar(rng, max_rules=10)
+            self.check_grammar(g, naive_expand(g), rng)
+
+    def test_repair_grammars_with_rules_past_the_limit(self):
+        rng = random.Random(157)
+        for seed in range(4):
+            t = repetitive_text(97, 24, 0.003, seed)
+            for g in (repair_compress(t), inline_single_use(repair_compress(t))):
+                assert max(len(e) for e in naive_rule_expansions(g)[:-1]) > _MEMO_RULE_LIMIT
+                self.check_grammar(g, t, rng)
+
+    def test_every_cut_inside_memoized_rules(self):
+        # Warm the memo with whole-text extracts, then end an extract at
+        # every position: each count ends inside, or at the end of, rules
+        # the walk copies from the memo.
+        t = repetitive_text(31, 12, 0.02, 3)
+        for idx in self.indexes(repair_compress(t)):
+            idx.extract(1, idx.n)
+            idx.extract(2, idx.n - 1)
+            assert idx._memo
+            for p in (1, 2, 17):
+                for c in range(1, len(t) - p + 2):
+                    assert idx.extract(p, c) == t[p - 1 : p - 1 + c]
+            self.check_memo(idx)
+
+    def test_load_and_access_create_no_memo(self):
+        t = repetitive_text(64, 8, 0.02, 5)
+        for built in self.indexes(repair_compress(t)):
+            idx = index_from_bytes(index_to_bytes(built))
+            assert "_memo" not in vars(idx)
+            for p in range(1, idx.n + 1):
+                assert idx.access(p) == idx.extract(p, 1)[0] == t[p - 1]
+                idx.access_trace(p)
+            assert "_memo" not in vars(idx)
+            assert idx._memo is None
+            assert idx.extract(1, 2) == t[:2]
+            assert "_memo" in vars(idx)
+
+    def test_threads_share_a_cold_index(self):
+        t = repetitive_text(257, 24, 0.01, 11)
+        n = len(t)
+        for idx in self.indexes(repair_compress(t)):
+            rng = random.Random(163)
+            work = [self.queries(rng, n, 150) for _ in range(4)]
+            wrong = [0] * len(work)
+
+            def run(k):
+                for p, c in work[k]:
+                    if idx.extract(p, c) != t[p - 1 : p - 1 + c]:
+                        wrong[k] += 1
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(work))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert wrong == [0] * len(work)
+            self.check_memo(idx)

@@ -16,12 +16,14 @@ from fras import (
     grammar_to_text,
     index_from_bytes,
     index_to_bytes,
+    inline_single_use,
     read_grammar,
     read_index,
     repair_compress,
     write_grammar,
     write_index,
 )
+from fras.formats import INDEX_MAGIC
 from helpers import random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
@@ -110,6 +112,46 @@ class TestGrammarErrors:
     def test_text_truncated(self):
         with pytest.raises(FormatError, match="unexpected end of input"):
             grammar_from_bytes(b"FRAS1-TEXT\n1 97 2 1 0\n")
+
+
+class TestGrammarSectionBounds:
+    @staticmethod
+    def grammars():
+        t = random_text(random.Random(7), 300, 3)
+        return [SINGLE_A, repair_compress(t), inline_single_use(repair_compress(t))]
+
+    def test_every_cut_of_a_grammar_file(self):
+        for g in self.grammars():
+            data = grammar_to_bytes(g)
+            for cut in range(len(data)):
+                with pytest.raises(FormatError):
+                    grammar_from_bytes(data[:cut])
+
+    def test_every_cut_inside_an_index_grammar_section(self):
+        for g in self.grammars():
+            for idx in (build_fras(g, "plain"), build_fras(g, "sparse"), build_folklore(binarize_cnf(g))):
+                data = index_to_bytes(idx)
+                start = data.index(b"FRAS1\x00", 1)
+                end = start + len(grammar_to_bytes(idx.grammar))
+                for cut in range(start, end + 1):
+                    with pytest.raises(FormatError):
+                        index_from_bytes(data[:cut])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            u32(0xFFFFFFFF) + b"a",  # alphabet size
+            u32(1) + b"a" + u32(0xFFFFFFFF) + u32(1) + u32(0),  # rule count
+            u32(1) + b"a" + u32(1) + u32(0xFFFFFFFF) + u32(0),  # body length
+            u32(1) + b"a" + u32(2) + u32(1) + u32(0) + u32(0x7FFFFFFF),  # second body
+        ],
+    )
+    def test_oversized_counts(self, fields):
+        with pytest.raises(FormatError, match="unexpected end of input"):
+            grammar_from_bytes(b"FRAS1\x00" + fields)
+        index = INDEX_MAGIC + bytes([1]) + b"FRAS1\x00" + fields + bytes(64)
+        with pytest.raises(FormatError, match="unexpected end of input"):
+            index_from_bytes(index)
 
 
 class TestIndexRoundTrip:
