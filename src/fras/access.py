@@ -31,9 +31,10 @@ concurrently.
 from __future__ import annotations
 
 from .grammar import (
+    MAX_TEXT_LENGTH,
     Grammar,
+    GrammarError,
     expansion_lengths,
-    is_cnf,
     require_valid,
     sort_and_renumber,
 )
@@ -246,19 +247,27 @@ class FrasIndex(_Index):
 def build_folklore(g: Grammar) -> FolkloreIndex:
     """Length-table construction for a CNF grammar, one bottom-up pass."""
     require_valid(g)
-    if not is_cnf(g):
-        raise AccessError("malformed-index", "grammar is not in CNF")
+    return _folklore_index(g)
+
+
+def _folklore_index(g: Grammar) -> FolkloreIndex:
+    """The left-length table of a valid grammar; the same pass checks CNF."""
     sigma = len(g.alphabet)
-    lengths: list[int] = []
+    lengths = [1] * sigma  # expansion length by symbol code
     lefts: list[int] = []
     for body in g.rules:
-        if len(body) == 1:
+        if len(body) == 2 and body[0] >= sigma and body[1] >= sigma:
+            left_len = lengths[body[0]]
+            lengths.append(left_len + lengths[body[1]])
+            lefts.append(left_len)
+        elif len(body) == 1 and body[0] < sigma:
             lengths.append(1)
             lefts.append(1)  # sentinel, never read for terminal rules
         else:
-            left_len = lengths[body[0] - sigma]
-            lengths.append(left_len + lengths[body[1] - sigma])
-            lefts.append(left_len)
+            raise AccessError("malformed-index", "grammar is not in CNF")
+    # Every rule is used, so the start rule's expansion is the longest.
+    if lengths[-1] > MAX_TEXT_LENGTH:
+        raise GrammarError("length overflow")
     return FolkloreIndex(g, tuple(lefts), lengths[-1])
 
 
@@ -271,15 +280,25 @@ def build_fras(g: Grammar, bitvector_kind: str = "sparse") -> FrasIndex:
     """
     require_valid(g)
     gs, _ = sort_and_renumber(g)
+    return _fras_index(gs, bitvector_kind)
+
+
+def _fras_index(gs: Grammar, bitvector_kind: str) -> FrasIndex:
+    """The tables of a valid grammar whose rules are sorted by expansion length."""
     lengths = expansion_lengths(gs)
     n = lengths[-1]
 
     unique: list[int] = []
     first_positions: list[int] = []
     for j, ln in enumerate(lengths, start=1):
-        if not unique or ln != unique[-1]:
+        if not unique or ln > unique[-1]:
             unique.append(ln)
             first_positions.append(j)
+        elif ln < unique[-1]:
+            raise AccessError(
+                "malformed-index",
+                f"rules are not sorted by expansion length: rule {j} is shorter than rule {j - 1}",
+            )
     rule_marks = build_bitvector(first_positions, len(gs.rules), bitvector_kind)
 
     start_positions: list[int] = []

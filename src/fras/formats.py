@@ -7,11 +7,14 @@ symbol codes.  The start rule is the last rule.  A whitespace-separated
 decimal variant with first line ``FRAS1-TEXT`` (extension ``.fgt``) holds
 the same fields for debugging and hand-written inputs.
 
-Index files (extension ``.fix``): magic ``FRIX1\\0``, a kind tag, the
-grammar section verbatim, then the kind's tables (u64 lengths) and
-bitvectors (kind tag, universe, set-bit count, packed 64-bit words).
-Rank directories and the sparse bucket table are rebuilt on load, so
-re-serialization is byte-identical.
+Index files (extension ``.fix``): magic ``FRIX2\\0``, a kind byte (0
+folklore, 1 FRAS with sparse bitvectors, 2 FRAS with plain ones) and the
+grammar section verbatim, nothing else.  Every table an index holds is
+derived from its grammar, so loading runs the same construction as
+``build_folklore``/``build_fras`` and no stored table can disagree with
+the grammar.  A FRAS grammar must already be sorted by expansion length
+and a folklore grammar must be in CNF, so re-serializing a loaded index
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,18 +23,14 @@ import sys
 from array import array
 from typing import BinaryIO, Iterable
 
-from .access import FolkloreIndex, FrasIndex
-from .grammar import Grammar, is_cnf, require_valid
-from .succinct import PlainBitvector, SparseBitvector
+from .access import AccessError, FolkloreIndex, FrasIndex, _folklore_index, _fras_index
+from .grammar import Grammar, require_valid
 
 GRAMMAR_MAGIC = b"FRAS1\x00"
 TEXT_MAGIC = "FRAS1-TEXT"
-INDEX_MAGIC = b"FRIX1\x00"
-
-_KIND_FOLKLORE = 0
-_KIND_FRAS = 1
-_BV_PLAIN = 0
-_BV_SPARSE = 1
+INDEX_MAGIC = b"FRIX2\x00"
+# The index kind byte is a position in this tuple.
+_INDEX_KINDS = ("folklore", "fras-sparse", "fras-plain")
 
 
 class FormatError(ValueError):
@@ -73,9 +72,6 @@ class _Cursor:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "little")
-
     def done(self) -> bool:
         return self.off == len(self.data)
 
@@ -106,13 +102,13 @@ def grammar_to_text(g: Grammar) -> str:
 
 
 def _read_grammar_section(cur: _Cursor) -> Grammar:
-    """Read the grammar at the cursor: the rules are sliced out of one u32 array."""
+    """Read the grammar at the cursor: the rules are sliced out of one list of the u32 words."""
     sigma = cur.u32()
     alphabet = tuple(cur.take(sigma))
     m = cur.u32()
     data = cur.data
     nwords = (len(data) - cur.off) // 4
-    words = _unpack("I", memoryview(data)[cur.off : cur.off + 4 * nwords])
+    words = _unpack("I", memoryview(data)[cur.off : cur.off + 4 * nwords]).tolist()
     rules = []
     pos = 0
     for _ in range(m):
@@ -185,115 +181,37 @@ def read_grammar(source: BinaryIO) -> Grammar:
     return grammar_from_bytes(source.read())
 
 
-# --- bitvectors -----------------------------------------------------------
-
-
-def _write_bitvector(out: bytearray, bv: PlainBitvector | SparseBitvector) -> None:
-    if isinstance(bv, PlainBitvector):
-        out.append(_BV_PLAIN)
-        out += bv.universe.to_bytes(8, "little")
-        out += bv.num_set.to_bytes(8, "little")
-        words = bv.words()
-        out += len(words).to_bytes(8, "little")
-        out += _pack("Q", words)
-    else:
-        out.append(_BV_SPARSE)
-        out += bv.universe.to_bytes(8, "little")
-        out += bv.num_set.to_bytes(8, "little")
-        out.append(bv.low_width)
-        lows = bv.low_words()
-        out += len(lows).to_bytes(8, "little")
-        out += _pack("Q", lows)
-        _write_bitvector(out, bv.high)
-
-
-def _read_bitvector(cur: _Cursor) -> PlainBitvector | SparseBitvector:
-    tag = cur.u8()
-    if tag == _BV_PLAIN:
-        universe = cur.u64()
-        num_set = cur.u64()
-        nwords = cur.u64()
-        words = _unpack("Q", cur.take(8 * nwords))
-        try:
-            return PlainBitvector.from_words(words, universe, num_set)
-        except ValueError as exc:
-            raise FormatError(f"malformed plain bitvector: {exc}") from exc
-    if tag == _BV_SPARSE:
-        universe = cur.u64()
-        num_set = cur.u64()
-        w = cur.u8()
-        nwords = cur.u64()
-        lows = _unpack("Q", cur.take(8 * nwords))
-        high = _read_bitvector(cur)
-        if not isinstance(high, PlainBitvector):
-            raise FormatError("sparse bitvector high bits must be plain")
-        try:
-            return SparseBitvector.from_parts(universe, num_set, w, lows, high)
-        except ValueError as exc:
-            raise FormatError(f"malformed sparse bitvector: {exc}") from exc
-    raise FormatError(f"unknown bitvector kind tag: {tag}")
-
-
 # --- indexes --------------------------------------------------------------
 
 
 def index_to_bytes(idx: FolkloreIndex | FrasIndex) -> bytes:
-    out = bytearray(INDEX_MAGIC)
-    if isinstance(idx, FolkloreIndex):
-        out.append(_KIND_FOLKLORE)
-        out += grammar_to_bytes(idx.grammar)
-        out += idx.n.to_bytes(8, "little")
-        out += len(idx.left_lengths).to_bytes(4, "little")
-        out += _pack("Q", idx.left_lengths)
-    elif isinstance(idx, FrasIndex):
-        out.append(_KIND_FRAS)
-        out += grammar_to_bytes(idx.grammar)
-        out += idx.n.to_bytes(8, "little")
-        out += len(idx.unique_lengths).to_bytes(4, "little")
-        out += _pack("Q", idx.unique_lengths)
-        _write_bitvector(out, idx.rule_marks)
-        _write_bitvector(out, idx.start_marks)
-    else:
+    if not isinstance(idx, (FolkloreIndex, FrasIndex)):
         raise TypeError(f"not an index: {type(idx).__name__}")
-    return bytes(out)
+    return INDEX_MAGIC + bytes((_INDEX_KINDS.index(idx.kind),)) + grammar_to_bytes(idx.grammar)
 
 
 def index_from_bytes(data: bytes) -> FolkloreIndex | FrasIndex:
+    """Read the grammar and build the index's tables, as the build functions do."""
     if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("unrecognized format")
     cur = _Cursor(data)
     cur.take(len(INDEX_MAGIC))
     kind = cur.u8()
-    if kind not in (_KIND_FOLKLORE, _KIND_FRAS):
+    if kind >= len(_INDEX_KINDS):
         raise FormatError(f"unknown index kind tag: {kind}")
     if cur.take(len(GRAMMAR_MAGIC)) != GRAMMAR_MAGIC:
         raise FormatError("embedded grammar section missing")
     g = _read_grammar_section(cur)
-    require_valid(g)
-    n = cur.u64()
-    count = cur.u32()
-    values = tuple(_unpack("Q", cur.take(8 * count)))
-    if kind == _KIND_FOLKLORE:
-        if not cur.done():
-            raise FormatError("trailing data after index")
-        if not is_cnf(g):
-            raise FormatError("folklore index grammar is not in CNF")
-        if count != len(g.rules):
-            raise FormatError("left-length table size mismatch")
-        return FolkloreIndex(g, values, n)
-    rule_marks = _read_bitvector(cur)
-    start_marks = _read_bitvector(cur)
     if not cur.done():
         raise FormatError("trailing data after index")
-    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        raise FormatError("length array not strictly increasing")
-    if not values or values[-1] != n:
-        raise FormatError("length array does not end at the text length")
-    if rule_marks.universe != len(g.rules) or rule_marks.num_set != count:
-        raise FormatError("rule mark bitvector inconsistent with grammar")
-    if start_marks.universe != n or start_marks.num_set != len(g.rules[-1]):
-        raise FormatError("start mark bitvector inconsistent with grammar")
-    return FrasIndex(g, values, rule_marks, start_marks, n)
+    require_valid(g)
+    name = _INDEX_KINDS[kind]
+    try:
+        if name == "folklore":
+            return _folklore_index(g)
+        return _fras_index(g, name.removeprefix("fras-"))
+    except AccessError as exc:
+        raise FormatError(f"{name} index: {exc.detail}") from exc
 
 
 def write_index(idx: FolkloreIndex | FrasIndex, sink: BinaryIO) -> None:

@@ -8,6 +8,10 @@ split encoding for position sets that are small relative to the universe.
 Neither keeps a select index: select bisects over the plain vector's rank
 directory, or over the sparse vector's bucket table.  Both are immutable
 after construction.
+
+Construction is vectorized with numpy; the finished tables are exact-size
+``array.array`` objects, because queries read them one element at a time,
+which is faster on an ``array.array`` than on a numpy array.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Sequence
+
+import numpy as np
 
 _WORDS_PER_SUPER = 8  # 512-bit superblocks
 
@@ -29,14 +35,27 @@ def ceil_log2_ratio(p: int, q: int) -> int:
     return k
 
 
-def _check_positions(positions: Sequence[int], universe: int) -> None:
+def _position_array(positions: Sequence[int], universe: int) -> np.ndarray:
+    """The positions as a ``uint64`` array, checked strictly increasing in ``[1, universe]``.
+
+    Positions reach ``2**64 - 1``, so all arithmetic on them stays in
+    ``uint64``: ``int64`` overflows there, and numpy turns ``uint64``
+    mixed with ``int64`` into ``float64``.
+    """
     if universe < 1:
         raise ValueError("invalid position set: universe must be >= 1")
-    prev = 0
-    for p in positions:
-        if p <= prev or p > universe:
-            raise ValueError("invalid position set")
-        prev = p
+    try:
+        pos = np.asarray(positions, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("invalid position set") from None
+    if len(pos) and (pos[0] == 0 or int(pos[-1]) > universe or np.any(pos[1:] <= pos[:-1])):
+        raise ValueError("invalid position set")
+    return pos
+
+
+def _exact_array(typecode: str, values: np.ndarray) -> array:
+    """An ``array.array`` copy of ``values`` without spare capacity."""
+    return array(typecode, array(typecode, values.astype(typecode, copy=False).tobytes()))
 
 
 class PlainBitvector:
@@ -49,50 +68,22 @@ class PlainBitvector:
     kind = "plain"
 
     def __init__(self, positions: Sequence[int], universe: int):
-        _check_positions(positions, universe)
+        pos = _position_array(positions, universe)
         self.universe = universe
-        self.num_set = len(positions)
-        nwords = (universe + 63) // 64 + 1
-        words = array("Q", bytes(8 * nwords))
-        for p in positions:
-            words[(p - 1) >> 6] |= 1 << ((p - 1) & 63)
-        self._words = words
-        self._build_directories()
+        self.num_set = len(pos)
+        v = pos - 1
+        words = np.zeros((universe + 63) // 64 + 1, np.uint64)
+        np.bitwise_or.at(words, v >> 6, np.uint64(1) << (v & 63))
+        self._words = _exact_array("Q", words)
+        self._build_directories(words)
 
-    @classmethod
-    def from_words(cls, words: Sequence[int], universe: int, num_set: int) -> "PlainBitvector":
-        """Rebuild from packed words (deserialization); directories are recomputed."""
-        bv = cls.__new__(cls)
-        bv.universe = universe
-        bv.num_set = num_set
-        bv._words = array("Q", words)
-        if len(bv._words) != (universe + 63) // 64 + 1:
-            raise ValueError("invalid position set: word count mismatch")
-        tail = universe & 63
-        spare = bv._words[-1] | (bv._words[-2] >> tail if tail else 0)
-        if spare:
-            raise ValueError("invalid position set: bits beyond universe")
-        if bv._build_directories() != num_set:
-            raise ValueError("invalid position set: popcount mismatch")
-        return bv
-
-    def _build_directories(self) -> int:
-        """Build the rank directory; returns the number of set bits."""
-        supers = array("Q")
-        blocks = array("H", bytes(2 * len(self._words)))
-        total = 0
-        rel = 0
-        for w, word in enumerate(self._words):
-            if w % _WORDS_PER_SUPER == 0:
-                supers.append(total)
-                rel = 0
-            blocks[w] = rel
-            c = word.bit_count()
-            rel += c
-            total += c
-        self._supers = supers
-        self._blocks = blocks
-        return total
+    def _build_directories(self, words: np.ndarray) -> None:
+        """Set bits before each superblock, and before each word within its superblock."""
+        counts = np.bitwise_count(words).astype(np.uint64)
+        before = np.cumsum(counts) - counts
+        supers = before[::_WORDS_PER_SUPER]
+        self._supers = _exact_array("Q", supers)
+        self._blocks = _exact_array("H", before - np.repeat(supers, _WORDS_PER_SUPER)[: len(words)])
 
     def rank(self, i: int) -> int:
         if i == 0:
@@ -122,9 +113,6 @@ class PlainBitvector:
             word &= word - 1
         return (w << 6) + (word & -word).bit_length()
 
-    def words(self) -> array:
-        return self._words
-
     def space_report(self) -> dict[str, int]:
         payload = 64 * len(self._words)
         aux = 64 * len(self._supers) + 16 * len(self._blocks)
@@ -144,97 +132,38 @@ class SparseBitvector:
     kind = "sparse"
 
     def __init__(self, positions: Sequence[int], universe: int):
-        _check_positions(positions, universe)
-        if not positions:
+        pos = _position_array(positions, universe)
+        b = len(pos)
+        if not b:
             raise ValueError("invalid position set: sparse bitvector needs >= 1 set bit")
-        b = len(positions)
         self.universe = universe
         self.num_set = b
         w = max(0, (universe // b).bit_length() - 1)
         self._w = w
         self._mask = (1 << w) - 1
 
-        low_words = array("Q", bytes(8 * ((b * w + 63) // 64 + 1)))
-        high_positions = []
-        max_bucket = (positions[-1] - 1) >> w
-        for r, p in enumerate(positions):
-            v = p - 1
-            if w:
-                bit = r * w
-                low = v & self._mask
-                low_words[bit >> 6] |= (low << (bit & 63)) & 0xFFFFFFFFFFFFFFFF
-                spill = (bit & 63) + w - 64
-                if spill > 0:
-                    low_words[(bit >> 6) + 1] |= low >> (w - spill)
-            high_positions.append(r + 1 + (v >> w))
-        self._low_words = low_words
-        self._high = PlainBitvector(high_positions, b + max_bucket + 1)
-        self._num_buckets = max_bucket + 1
-        self._bucket_start = self._build_bucket_starts(positions)
+        # Rank r's low bits start at bit r * w of the packed words; the part
+        # past the end of a word spills into the next one.
+        v = pos - 1
+        lows = v & self._mask
+        bit = np.arange(b, dtype=np.uint64) * w
+        low_words = np.zeros((b * w + 63) // 64 + 1, np.uint64)
+        np.bitwise_or.at(low_words, bit >> 6, lows << (bit & 63))
+        spill = (bit & 63) + w > 64
+        np.bitwise_or.at(low_words, (bit[spill] >> 6) + 1, lows[spill] >> (64 - (bit[spill] & 63)))
+        self._low_words = _exact_array("Q", low_words)
 
-    def _build_bucket_starts(self, positions: Sequence[int]) -> array:
-        starts = array("I" if self.num_set < 2**32 else "Q", [0]) * (self._num_buckets + 1)
-        w = self._w
-        prev = -1
-        for r, p in enumerate(positions):
-            k = (p - 1) >> w
-            for kk in range(prev + 1, k + 1):
-                starts[kk] = r
-            prev = k
-        starts[self._num_buckets] = self.num_set
-        return starts
-
-    @classmethod
-    def from_parts(
-        cls, universe: int, num_set: int, w: int, low_words: Sequence[int], high: PlainBitvector
-    ) -> "SparseBitvector":
-        """Rebuild from serialized parts; the bucket table is recomputed.
-
-        The positions are decoded in one pass over the high words: the r-th
-        set bit (0-based) at bit offset q lies in bucket q - r.
-        """
-        bv = cls.__new__(cls)
-        bv.universe = universe
-        bv.num_set = num_set
-        if num_set < 1 or w != max(0, (universe // num_set).bit_length() - 1):
-            raise ValueError("invalid position set: bad low width")
-        bv._w = w
-        bv._mask = (1 << w) - 1
-        bv._low_words = array("Q", low_words)
-        if len(bv._low_words) != (num_set * w + 63) // 64 + 1:
-            raise ValueError("invalid position set: low array size mismatch")
-        bv._high = high
-        if high.num_set != num_set:
-            raise ValueError("invalid position set: high popcount mismatch")
-        bv._num_buckets = high.universe - num_set
-        if bv._num_buckets < 1:
-            raise ValueError("invalid position set: high universe too small")
-        positions = []
-        r = 0
-        for k, word in enumerate(high.words()):
-            base = k << 6
-            while word:
-                low = word & -word
-                bucket = base + low.bit_length() - 1 - r
-                positions.append((bucket << w) + bv._low_at(r) + 1)
-                word ^= low
-                r += 1
-        _check_positions(positions, universe)
-        if (positions[-1] - 1) >> w != bv._num_buckets - 1:
-            raise ValueError("invalid position set: high bits inconsistent")
-        bv._bucket_start = bv._build_bucket_starts(positions)
-        return bv
+        buckets = v >> w
+        self._num_buckets = int(buckets[-1]) + 1
+        ranks = np.arange(1, b + 1, dtype=np.uint64)
+        self._high = PlainBitvector(ranks + buckets, b + self._num_buckets)
+        # The first rank of each bucket, and num_set after the last one.
+        starts = np.searchsorted(buckets, np.arange(self._num_buckets + 1, dtype=np.uint64))
+        self._bucket_start = _exact_array("I" if b < 2**32 else "Q", starts)
 
     @property
     def low_width(self) -> int:
         return self._w
-
-    @property
-    def high(self) -> PlainBitvector:
-        return self._high
-
-    def low_words(self) -> array:
-        return self._low_words
 
     def _low_at(self, r: int) -> int:
         w = self._w

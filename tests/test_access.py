@@ -7,6 +7,7 @@ import pytest
 from fras import (
     AccessError,
     Grammar,
+    GrammarError,
     binarize_cnf,
     build_folklore,
     build_fras,
@@ -93,6 +94,12 @@ class TestFolklore:
         with pytest.raises(AccessError) as exc:
             build_folklore(fig1)
         assert exc.value.kind == "malformed-index"
+
+    def test_rejects_length_overflow(self):
+        # X1 = a, X(k+1) = X(k) X(k): X65 derives 2**64 bytes, one too many.
+        g = Grammar(alphabet=(97,), rules=((0,),) + tuple((k, k) for k in range(1, 65)))
+        with pytest.raises(GrammarError, match="length overflow"):
+            build_folklore(g)
 
     def test_single_terminal_start(self):
         idx = build_folklore(SINGLE_A)

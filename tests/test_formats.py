@@ -1,16 +1,19 @@
+import functools
 import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fras import (
-    AccessError,
     FormatError,
     Grammar,
     GrammarError,
     binarize_cnf,
     build_folklore,
     build_fras,
+    expand,
     grammar_from_bytes,
     grammar_to_bytes,
     grammar_to_text,
@@ -23,8 +26,9 @@ from fras import (
     write_grammar,
     write_index,
 )
+from fras.cli import main
 from fras.formats import INDEX_MAGIC
-from helpers import random_grammar, random_text
+from helpers import FIG1_GRAMMAR, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
 
@@ -133,7 +137,8 @@ class TestGrammarSectionBounds:
                 data = index_to_bytes(idx)
                 start = data.index(b"FRAS1\x00", 1)
                 end = start + len(grammar_to_bytes(idx.grammar))
-                for cut in range(start, end + 1):
+                assert end == len(data)  # a cut at the end is the whole file
+                for cut in range(start, end):
                     with pytest.raises(FormatError):
                         index_from_bytes(data[:cut])
 
@@ -208,6 +213,20 @@ class TestIndexRoundTrip:
         for j in range(5):
             assert loaded.rule_marks.rank(j) == idx.rule_marks.rank(j)
 
+    def test_text_of_2_to_the_64_minus_1_bytes(self):
+        # X1 = a, X(k+1) = X(k) X(k) for k < 64, start = X64 X63 ... X2 b:
+        # (2**64 - 2) a's and a final b.  Rule j has the code j + 1.
+        rules = [(0,)] + [(j + 1, j + 1) for j in range(1, 64)]
+        rules.append(tuple(range(65, 2, -1)) + (1,))
+        idx = build_fras(Grammar((97, 98), tuple(rules)), "sparse")
+        data = index_to_bytes(idx)
+        loaded = index_from_bytes(data)
+        assert index_to_bytes(loaded) == data
+        n = 2**64 - 1
+        assert loaded.n == n
+        assert [loaded.access(p) for p in (1, 2**63, n)] == [97, 97, 98]
+        assert loaded.extract(n - 2, 3) == b"aab"
+
 
 class TestIndexErrors:
     def test_unrecognized(self):
@@ -220,65 +239,116 @@ class TestIndexErrors:
         with pytest.raises(FormatError, match="unknown index kind"):
             index_from_bytes(bytes(data))
 
-    def test_unknown_bitvector_tag(self, fig1):
-        idx = build_fras(fig1, "plain")
-        data = index_to_bytes(idx)
-        # the first bitvector tag byte follows grammar + n + L table
-        offset = data.index(b"FRAS1\x00", 1)  # embedded grammar section
-        glen = len(grammar_to_bytes(idx.grammar))
-        pos = offset + glen + 8 + 4 + 8 * len(idx.unique_lengths)
-        corrupted = bytearray(data)
-        assert corrupted[pos] in (0, 1)
-        corrupted[pos] = 7
-        with pytest.raises(FormatError, match="unknown bitvector kind"):
-            index_from_bytes(bytes(corrupted))
-
-    def test_truncated_bitvector_payload(self, fig1):
-        data = index_to_bytes(build_fras(fig1, "sparse"))
-        with pytest.raises(FormatError, match="unexpected end of input"):
-            index_from_bytes(data[:-5])
-
     def test_folklore_trailing_data(self, fig1):
         data = index_to_bytes(build_folklore(binarize_cnf(fig1)))
         with pytest.raises(FormatError, match="trailing data"):
             index_from_bytes(data + b"\x00")
 
-    @pytest.mark.parametrize("kind", ["plain", "sparse"])
-    def test_corrupt_bitvector_words_raise_format_error(self, kind):
-        # The last 40 bytes lie inside the start-mark bitvector: every flip
-        # trips one of its consistency checks, which must surface as FormatError.
-        data = index_to_bytes(build_fras(repair_compress(b"abracadabra" * 20), kind))
-        for k in range(len(data) - 40, len(data)):
-            corrupted = bytearray(data)
-            corrupted[k] ^= 0x80
-            with pytest.raises(FormatError):
-                index_from_bytes(bytes(corrupted))
+
+# Rules "aba", "ab", then the start rule: valid, but not sorted by length.
+UNSORTED = Grammar((97, 98), ((0, 1, 0), (0, 1), (2, 3)))
+# The sparse FRAS index of SINGLE_A in the earlier FRIX1 format, which
+# stored length tables and bitvectors after the grammar.
+FRIX1_SINGLE_A = bytes.fromhex(
+    "4652495831000146524153310001000000610100000001000000000000000100000000000000"
+    "0100000001000000000000000101000000000000000100000000000000000100000000000000"
+    "0000000000000000000200000000000000010000000000000002000000000000000100000000"
+    "0000000000000000000000010100000000000000010000000000000000010000000000000000"
+    "0000000000000000020000000000000001000000000000000200000000000000010000000000"
+    "00000000000000000000"
+)
 
 
-class TestCorruptIndexQueries:
-    @pytest.mark.parametrize("kind", ["plain", "sparse"])
-    def test_bit_flips_after_grammar_fail_only_as_documented(self, kind):
-        # Flip every bit after the grammar section: n, the length table and
-        # both bitvectors.  Each mutant is rejected on load, or its queries
-        # return bytes or raise AccessError; no other exception escapes.
-        # (Tables are not re-derived on load, so a mutant may answer wrongly.)
-        t = random_text(random.Random(1), 3000, 2)
-        idx = build_fras(repair_compress(t), kind)
+class TestLoadRejections:
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (INDEX_MAGIC + bytes([1]) + grammar_to_bytes(UNSORTED), "not sorted by expansion length"),
+            (INDEX_MAGIC + bytes([2]) + grammar_to_bytes(UNSORTED), "not sorted by expansion length"),
+            (INDEX_MAGIC + bytes([0]) + grammar_to_bytes(FIG1_GRAMMAR), "not in CNF"),
+            (FRIX1_SINGLE_A, "unrecognized format"),
+            (INDEX_MAGIC + bytes([3]) + grammar_to_bytes(SINGLE_A), "unknown index kind tag: 3"),
+        ],
+        ids=["fras-sparse-unsorted", "fras-plain-unsorted", "folklore-not-cnf", "frix1", "kind-3"],
+    )
+    def test_rejected_on_load_and_by_the_cli(self, data, match, tmp_path, capsys):
+        with pytest.raises(FormatError, match=match):
+            index_from_bytes(data)
+        path = tmp_path / "bad.fix"
+        path.write_bytes(data)
+        assert main(["get", "--index", str(path), "-p", "1", "-l", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and match in captured.err
+
+
+def load_file(kind, data):
+    """The grammar, an index and the re-serialized bytes of a ``.fgz`` or ``.fix`` file."""
+    if kind == "fgz":
+        g = grammar_from_bytes(data)
+        return g, build_fras(g, "sparse"), grammar_to_bytes(g)
+    idx = index_from_bytes(data)
+    return idx.grammar, idx, index_to_bytes(idx)
+
+
+def check_mutant(kind, data):
+    """A mutated file is rejected as documented, or loads and answers its own grammar's text.
+
+    Only texts of at most 10**6 bytes are extracted, so memory stays O(grammar)
+    for sparse and folklore indexes.
+    """
+    try:
+        g, idx, again = load_file(kind, data)
+    except (FormatError, GrammarError):
+        return False
+    assert again == data
+    if idx.n <= 10**6:
+        assert idx.extract(1, idx.n) == expand(g)
+    return True
+
+
+@functools.cache
+def overwrite_bases():
+    g = repair_compress(random_text(random.Random(3), 400, 3))
+    return {
+        "fgz": grammar_to_bytes(g),
+        "fix-sparse": index_to_bytes(build_fras(g, "sparse")),
+        "fix-folklore": index_to_bytes(build_folklore(binarize_cnf(g))),
+    }
+
+
+class TestMutatedFiles:
+    @pytest.mark.parametrize("kind", ["plain", "sparse", "folklore"])
+    def test_single_bit_flips(self, kind):
+        # Every table is rebuilt from the grammar on load, so a mutant that
+        # loads is the index of whatever grammar the flip produced.  Each
+        # one must be rejected, or load and answer its own grammar's text.
+        # The CNF form has more rules, so folklore gets a shorter text.
+        size = 1000 if kind == "folklore" else 3000
+        g = repair_compress(random_text(random.Random(0), size, 2))
+        idx = build_folklore(binarize_cnf(g)) if kind == "folklore" else build_fras(g, kind)
         data = index_to_bytes(idx)
-        start = data.index(b"FRAS1\x00", 1) + len(grammar_to_bytes(idx.grammar))
         loaded = 0
-        for bit in range(8 * start, 8 * len(data)):
-            corrupted = bytearray(data)
-            corrupted[bit >> 3] ^= 1 << (bit & 7)
-            try:
-                mutant = index_from_bytes(bytes(corrupted))
-            except (FormatError, GrammarError):
-                continue
-            loaded += 1
-            for p in (1, mutant.n):
-                try:
-                    assert len(mutant.extract(p, mutant.n - p + 1)) == mutant.n - p + 1
-                    assert mutant.access_trace(p)[1][0] == len(mutant.grammar.rules)
-                except AccessError as exc:
-                    assert exc.kind == "malformed-index"
+        for bit in range(8 * len(data)):
+            mutant = bytearray(data)
+            mutant[bit >> 3] ^= 1 << (bit & 7)
+            loaded += check_mutant("fix", bytes(mutant))
         assert loaded > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(["fgz", "fix-sparse", "fix-folklore"]),
+        overwrites=st.lists(
+            st.tuples(st.floats(min_value=0, max_value=1, exclude_max=True), st.binary(min_size=1, max_size=8)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_multi_byte_overwrites(self, name, overwrites):
+        # A plain index of a mutated grammar could ask for n/8 bytes, so
+        # .fgz files get a sparse index and plain .fix files are left out.
+        data = bytearray(overwrite_bases()[name])
+        for where, chunk in overwrites:
+            off = int(where * len(data))
+            data[off : off + len(chunk)] = chunk[: len(data) - off]
+        check_mutant(name[:3], bytes(data))
