@@ -6,6 +6,7 @@ the equivalence, extraction and trace criteria, so the first of them pays
 the build cost.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -257,12 +258,17 @@ def test_criterion_08_benchmark_protocol(tmp_path, capsys):
             assert [rec.checksum for rec in report.records] == sparse_sums
 
 
+CRITERION_09_GRAMMAR_SHA256 = "9abf2d8c699b0b36dbdc198f3a343d5d02e62d16d3353a5916235a961dd9b746"
+
+
 def test_criterion_09_performance_smoke():
     t0 = time.perf_counter()
     with criterion(9, "10 MB corpus: sparse length-1 access under 50 us"):
         text = repetitive_text(10240, 1024, 0.001, seed=99)
         assert len(text) == 10 * 1024 * 1024
         g = repair_compress(text)
+        # The grammar is pinned: engine changes may only change speed.
+        assert hashlib.sha256(grammar_to_bytes(g)).hexdigest() == CRITERION_09_GRAMMAR_SHA256
         idx = build_fras(g, "sparse")
         report = run_benchmark(idx, lengths=(1,), iterations=10_000, seed=42)
         mean_us = report.records[0].mean_latency_us

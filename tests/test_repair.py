@@ -79,27 +79,30 @@ class TestRepairProperties:
             )
             assert repair_compress(t) == naive_repair(t)
 
-    def test_vector_engine_matches_incremental(self, monkeypatch):
-        # Force the numpy rounds to run on small inputs and compare the
-        # produced grammar against the pure-incremental result.
+    def test_vector_engine_matches_incremental(self, monkeypatch, engines):
+        # The numpy rounds run to the end on their own and must produce the
+        # grammar of a run that hands off before the first replacement.
         rng = random.Random(59)
         for _ in range(40):
             t = random_text(rng, rng.randint(2, 300), rng.randint(1, 4))
-            expected = repair_compress(t)
-            monkeypatch.setattr(repair_mod, "_VECTOR_MIN_LEN", 2)
-            monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
-            got = repair_compress(t)
-            monkeypatch.undo()
+            expected = _forced_incremental(monkeypatch, t)
+            engines.clear()
+            with monkeypatch.context() as m:
+                m.setattr(repair_mod, "_BATCH_MIN_COUNT", 0)
+                m.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
+                got = repair_compress(t)
+            assert engines == ["vector"]
             assert got == expected
 
     def test_engine_handoff_matches(self, monkeypatch):
         # A high gain threshold makes the vector phase bail out mid-way,
-        # exercising the handoff into the incremental engine.
+        # exercising the handoff into the incremental engine; batch_min 0
+        # then replaces every later round in numpy, 8 only the larger ones.
         rng = random.Random(67)
-        for _ in range(40):
+        for k in range(80):
             t = random_text(rng, rng.randint(8, 300), rng.randint(1, 4))
             expected = naive_repair(t)
-            monkeypatch.setattr(repair_mod, "_VECTOR_MIN_LEN", 2)
+            monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", 8 * (k & 1))
             monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 2)
             got = repair_compress(t)
             monkeypatch.undo()
@@ -108,12 +111,80 @@ class TestRepairProperties:
     def test_vector_engine_unique_path(self, monkeypatch):
         # Tiny bincount budget forces the sort-based counting branch.
         rng = random.Random(61)
-        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_LEN", 2)
+        monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", 0)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
         monkeypatch.setattr(repair_mod, "_BINCOUNT_MAX_BINS", 1)
         for _ in range(30):
             t = random_text(rng, rng.randint(2, 200), rng.randint(1, 4))
             assert repair_compress(t) == naive_repair(t)
+
+    @pytest.mark.parametrize("batch_min", [2, 5])
+    def test_batch_rounds_match_naive(self, monkeypatch, engines, batch_min):
+        # Hand off before the first round; the incremental engine then
+        # replaces every round (batch_min 2) or the larger ones (5) in numpy.
+        rng = random.Random(71)
+        monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", batch_min)
+        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 0)
+        for _ in range(60):
+            t = random_text(rng, rng.randint(2, 400), rng.randint(1, 4))
+            engines.clear()
+            assert repair_compress(t) == naive_repair(t)
+            assert engines in (["vector"], ["vector", "incremental"])
+        for _ in range(30):
+            t = b"".join(bytes([rng.choice(b"ab")]) * rng.randint(1, 9) for _ in range(40))
+            assert repair_compress(t) == naive_repair(t)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1024, 16, 0.02), (256, 64, 0.004), (1024, 16, 0.001), (1024, 64, 0.001)],
+        ids=["random-access-tiny", "substring-scan-tiny", "build-tiny", "64KiB"],
+    )
+    def test_default_handoff_runs_both_engines(self, monkeypatch, engines, shape):
+        # With the module's own constants these texts replace pairs in the
+        # numpy rounds first and finish in the incremental engine.
+        t = repetitive_text(*shape, seed=3)
+        rules_at_handoff = []
+        incremental = repair_mod._incremental_rounds
+
+        def record(arr, sigma, bodies):
+            rules_at_handoff.append(len(bodies))
+            return incremental(arr, sigma, bodies)
+
+        with monkeypatch.context() as m:
+            m.setattr(repair_mod, "_incremental_rounds", record)
+            got = repair_compress(t)
+        assert engines == ["vector", "incremental"]
+        assert rules_at_handoff[0] >= 1
+        assert len(got.rules) - 1 > rules_at_handoff[0]
+        assert got == _forced_incremental(monkeypatch, t)
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Names of the engines ``repair_compress`` called, in call order."""
+    calls: list[str] = []
+    vector = repair_mod._vector_rounds
+    incremental = repair_mod._incremental_rounds
+
+    def spy_vector(*args):
+        calls.append("vector")
+        return vector(*args)
+
+    def spy_incremental(*args):
+        calls.append("incremental")
+        return incremental(*args)
+
+    monkeypatch.setattr(repair_mod, "_vector_rounds", spy_vector)
+    monkeypatch.setattr(repair_mod, "_incremental_rounds", spy_incremental)
+    return calls
+
+
+def _forced_incremental(monkeypatch, text: bytes) -> Grammar:
+    """``repair_compress`` handing off at once to one-by-one rounds."""
+    with monkeypatch.context() as m:
+        m.setattr(repair_mod, "_BATCH_MIN_COUNT", 1 << 62)
+        g = repair_compress(text)
+    return g
 
 
 @settings(max_examples=80, deadline=None)
