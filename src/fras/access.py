@@ -50,8 +50,8 @@ class AccessError(Exception):
         self.detail = detail
 
 
-def _out_of_range(p: int, n: int) -> AccessError:
-    return AccessError("position-out-of-range", f"p={p}, n={n}")
+def _out_of_range(p: int, n: int, count: int = 1) -> AccessError:
+    return AccessError("position-out-of-range", f"p={p}, count={count}, n={n}")
 
 
 def _malformed(p: int, exc: Exception) -> AccessError:
@@ -145,7 +145,7 @@ class _Index:
         the expansions of rules it has completed before.
         """
         if count < 1 or p < 1 or p + count - 1 > self.n:
-            raise _out_of_range(p, self.n)
+            raise _out_of_range(p, self.n, count)
         try:
             stack, sym = self._locate(p)
             out = bytearray((sym,))

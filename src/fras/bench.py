@@ -60,6 +60,8 @@ def run_benchmark(
     seed: int = 0,
     corpus: str = "corpus",
 ) -> BenchReport:
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     lengths = tuple(lengths)
     n = index.n
     for ln in lengths:

@@ -44,11 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _lg(x: int) -> int:
-    """Bit width ceil(log2(x)) with lg(1) = 0."""
-    return 0 if x <= 1 else (x - 1).bit_length()
-
-
 def _parse_lengths(value: str) -> tuple[int, ...]:
     try:
         lengths = tuple(int(tok) for tok in value.split(","))
@@ -57,6 +52,16 @@ def _parse_lengths(value: str) -> tuple[int, ...]:
     if not lengths or any(ln < 1 for ln in lengths):
         raise argparse.ArgumentTypeError("substring lengths must be >= 1")
     return lengths
+
+
+def _parse_iterations(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {value!r}")
+    if count < 0:
+        raise argparse.ArgumentTypeError("iterations must be >= 0")
+    return count
 
 
 def _read_grammar_path(path: str):
@@ -82,9 +87,10 @@ def _space_lines(idx) -> list[str]:
     lines = ["label,ceil_bits,real_bits"]
     if isinstance(idx, FolkloreIndex):
         lines.append(
-            f"grammar_bits,{2 * m * _lg(m + sigma)},{2 * m * math.log2(m + sigma)!r}"
+            f"grammar_bits,{2 * m * ceil_log2_ratio(m + sigma, 1)},"
+            f"{2 * m * math.log2(m + sigma)!r}"
         )
-        lines.append(f"length_bits,{m * _lg(n)},{m * math.log2(n)!r}")
+        lines.append(f"length_bits,{m * ceil_log2_ratio(n, 1)},{m * math.log2(n)!r}")
         payload = 64 * len(idx.left_lengths)
         lines.append(f"measured_payload,{payload},{payload}")
         lines.append("measured_auxiliary,0,0")
@@ -93,13 +99,16 @@ def _space_lines(idx) -> list[str]:
     nstart = len(g.rules[-1])
     nlengths = len(idx.unique_lengths)
     lines.append(
-        f"grammar_bits,{size_total * _lg(m + sigma)},{size_total * math.log2(m + sigma)!r}"
+        f"grammar_bits,{size_total * ceil_log2_ratio(m + sigma, 1)},"
+        f"{size_total * math.log2(m + sigma)!r}"
     )
-    lines.append(f"length_bits,{(nstart + m) * _lg(n)},{(nstart + m) * math.log2(n)!r}")
+    lines.append(
+        f"length_bits,{(nstart + m) * ceil_log2_ratio(n, 1)},{(nstart + m) * math.log2(n)!r}"
+    )
     bound_ceil = (
         nstart * (2 + ceil_log2_ratio(n, nstart))
         + nlengths * (2 + ceil_log2_ratio(m, nlengths))
-        + nlengths * _lg(nlengths)
+        + nlengths * ceil_log2_ratio(nlengths, 1)
     )
     bound_real = (
         nstart * (2 + math.log2(n / nstart))
@@ -265,7 +274,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the seeded query benchmark")
     p.add_argument("--index", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    p.add_argument("--iterations", type=_parse_iterations, default=DEFAULT_ITERATIONS)
     p.add_argument("--lengths", type=_parse_lengths, default=DEFAULT_LENGTHS)
     p.add_argument("--out", help="CSV output file (default: stdout)")
     p.set_defaults(func=_cmd_bench)

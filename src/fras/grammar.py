@@ -11,7 +11,7 @@ the full text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # Expansion lengths are stored as 64-bit unsigned quantities.
 MAX_TEXT_LENGTH = 2**64 - 1
@@ -144,12 +144,20 @@ def sort_and_renumber(g: Grammar) -> tuple[Grammar, tuple[int, ...]]:
     new_id = [0] * (m + 1)
     for new, old in enumerate(order, start=1):
         new_id[old] = new
-    sigma = len(g.alphabet)
-    rules = tuple(
-        tuple(c if c < sigma else sigma + new_id[c - sigma + 1] - 1 for c in g.rules[old - 1])
-        for old in order
-    )
+    rules = _renumbered(g.rules, order, len(g.alphabet))
     return Grammar(g.alphabet, rules), tuple(new_id[1:])
+
+
+def _renumbered(
+    bodies: Sequence[Sequence[int]], keep: list[int], sigma: int
+) -> tuple[tuple[int, ...], ...]:
+    """The bodies of rules ``keep`` (1-based ids into ``bodies``) in that order.
+
+    Rule ``keep[i]`` becomes rule ``i + 1``, and every reference follows it;
+    the kept bodies may reference only kept rules.
+    """
+    code = {sigma + old - 1: sigma + new for new, old in enumerate(keep)}
+    return tuple(tuple(c if c < sigma else code[c] for c in bodies[old - 1]) for old in keep)
 
 
 def expand_chunks(g: Grammar) -> Iterator[bytes]:
@@ -286,12 +294,7 @@ def _drop_unreachable(g: Grammar) -> Grammar:
     if all(reachable[1:]):
         return g
     keep = [j for j in range(1, m + 1) if reachable[j]]
-    new_id = {old: i for i, old in enumerate(keep, start=1)}
-    rules = tuple(
-        tuple(c if c < sigma else sigma + new_id[c - sigma + 1] - 1 for c in g.rules[old - 1])
-        for old in keep
-    )
-    return Grammar(g.alphabet, rules)
+    return Grammar(g.alphabet, _renumbered(g.rules, keep, sigma))
 
 
 def inline_single_use(g: Grammar) -> Grammar:
@@ -311,23 +314,18 @@ def inline_single_use(g: Grammar) -> Grammar:
         single = {j for j in range(1, m) if refs[j] == 1}
         if not single:
             return g
-        flattened: list[list[int]] = [[]]
+        flattened: list[list[int]] = []
         for j in range(1, m + 1):
             flat: list[int] = []
             for c in g.rules[j - 1]:
                 rid = c - sigma + 1 if c >= sigma else 0
                 if rid in single:
-                    flat.extend(flattened[rid])
+                    flat.extend(flattened[rid - 1])
                 else:
                     flat.append(c)
             flattened.append(flat)
         keep = [j for j in range(1, m + 1) if j not in single]
-        new_id = {old: i for i, old in enumerate(keep, start=1)}
-        rules = tuple(
-            tuple(c if c < sigma else sigma + new_id[c - sigma + 1] - 1 for c in flattened[old])
-            for old in keep
-        )
-        g = Grammar(g.alphabet, rules)
+        g = Grammar(g.alphabet, _renumbered(flattened, keep, sigma))
 
 
 def stats(g: Grammar) -> GrammarStats:

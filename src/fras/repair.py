@@ -10,30 +10,29 @@ smallest ``(first, second)`` code pair.
 Two engines implement the same replacement sequence, one after the other,
 at every input size.  The text starts in a numpy engine whose rounds each
 count every pair and replace the winner in one pass over the whole array.
-It keeps going while a round replaces at least ``_BATCH_MIN_COUNT + (len
+It keeps going while a round replaces at least ``_VECTOR_MIN_COUNT + (len
 >> _VECTOR_MIN_GAIN_SHIFT)`` occurrences, then hands the array to an
-incremental engine, a linked list with a lazy max-heap of integer pair
-keys, whose cost grows with the occurrences a round replaces rather than
-with the length.  It replaces a round's occurrences in numpy when there
-are at least ``_BATCH_MIN_COUNT`` of them and one by one otherwise.  The
-hand-off point and the batch size only affect speed, never the produced
-grammar.  Pair keys are int64, which holds them for texts below 3e9 bytes.
+incremental engine, a linked list whose rounds each replace the chosen
+pair with a fixed number of numpy passes over its occurrences, so their
+cost grows with those occurrences rather than with the length.  The
+hand-off point only affects speed, never the produced grammar.  Pair keys
+are int64, which holds them for texts below 3e9 bytes.
 """
 
 from __future__ import annotations
 
-import heapq
-from array import array
+from collections import Counter, defaultdict
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .grammar import Grammar
 
 _BINCOUNT_MAX_BINS = 1 << 22
-# Rounds with fewer occurrences are cheaper one by one than as numpy
-# passes, over the occurrences or, all the more, over the whole array.
-_BATCH_MIN_COUNT = 64
-# A whole-array round also has to replace this share of the length.
+# A whole-array round has to replace at least _VECTOR_MIN_COUNT + (len >>
+# _VECTOR_MIN_GAIN_SHIFT) occurrences; a round that replaces fewer costs
+# less as passes over its occurrences in the incremental engine.
+_VECTOR_MIN_COUNT = 64
 _VECTOR_MIN_GAIN_SHIFT = 7
 
 
@@ -72,7 +71,7 @@ def _vector_rounds(
         if best is None:
             return arr, True
         count, a, b = best
-        if count < _BATCH_MIN_COUNT + (arr.size >> _VECTOR_MIN_GAIN_SHIFT):
+        if count < _VECTOR_MIN_COUNT + (arr.size >> _VECTOR_MIN_GAIN_SHIFT):
             return arr, False
         bodies.append((a, b))
         arr = _replace_pair(arr, a, b, ncodes)
@@ -140,12 +139,7 @@ def _replace_pair(arr: np.ndarray, a: int, b: int, new_sym: int) -> np.ndarray:
     mask &= arr[1:] == b
     idx = np.flatnonzero(mask)
     if a == b:
-        # Consecutive hits overlap; keep alternating ones per run.
-        seg_start = np.empty(idx.size, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(np.diff(idx), 1, out=seg_start[1:])
-        seg_first = idx[seg_start][np.cumsum(seg_start) - 1]
-        idx = idx[((idx - seg_first) & 1) == 0]
+        idx = _every_other(idx, np.diff(idx) == 1)
     arr[idx] = new_sym
     return np.delete(arr, idx + 1)
 
@@ -165,15 +159,21 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
     position ``i``, or -1 when no pair there is worth tracking, which
     validates a recorded occurrence with one lookup.
 
-    The four position arrays are ``array('q')`` with numpy views on the
-    same memory: a round with few occurrences edits them one by one, a
-    round with at least ``_BATCH_MIN_COUNT`` edits them in numpy.
+    Each round serves the largest claim, checked against the record's size
+    minus the occurrences ``lost`` since, which rounds tally for the pairs
+    they break; a claim that is too high is re-queued without a pass over
+    its record.  Every round replaces its occurrences with the same few
+    dozen numpy calls (``_batch_replace``), be they 2 or 2 million.
+
+    The int64 arrays ``vals``, ``nxt``, ``prv`` and ``pair_at`` have an
+    extra slot at index ``n``, which the link value -1 addresses.  Its value
+    -1, like the distinct negative value of each removed position, is no
+    live symbol, so a pair it takes part in is made once and never tracked.
     """
     n = arr.size
     if n < 2:
         return arr.tolist()
     ncodes = sigma + len(bodies)
-    # Every code the tail can create stays below ncodes + n.
     base = ncodes + n
     keys = _pair_keys(arr, base)
     # Group adjacencies by pair, each group in position order.  Keys over
@@ -182,214 +182,154 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
     dense = _pair_keys(arr, ncodes).astype(np.min_scalar_type(ncodes * ncodes - 1))
     order = np.argsort(dense, kind="stable")
     del dense
-    starts, sizes = _runs(keys[order])
-    pair_at_v = np.full(n, -1, dtype=np.int64)
-    pair_at_v[:-1] = keys
-    pair_at_v[order[starts[sizes < 2]]] = -1
+    bounds = _run_bounds(keys[order])
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
+    pair_at = np.full(n + 1, -1, dtype=np.int64)
+    pair_at[: n - 1] = keys
+    pair_at[order[starts[sizes < 2]]] = -1
     multi = sizes >= 2
     mkeys = keys[order[starts[multi]]].tolist()
-    mstarts = starts[multi].tolist()
-    msizes = sizes[multi].tolist()
-    del keys, starts, sizes, multi
+    ends = bounds[1:][multi].tolist()
+    starts = starts[multi].tolist()
+    del keys, bounds, sizes, multi
 
-    positions = np.arange(-1, n + 1, dtype=np.int64)
-    positions[-1] = -1
-    pair_at, vals, nxt, prv = (
-        array("q", x.astype(np.int64, copy=False).tobytes())
-        for x in (pair_at_v, arr, positions[2:], positions[:-2])
-    )
-    del pair_at_v, positions
-    views = tuple(np.frombuffer(x, dtype=np.int64) for x in (vals, nxt, prv, pair_at))
-    _, nxt_v, _, pair_at_v = views
+    vals = np.append(arr, -1).astype(np.int64)
+    nxt = np.arange(1, n + 2, dtype=np.int64)
+    nxt[n - 1] = -1
+    prv = np.arange(-1, n, dtype=np.int64)
+    links = (vals, nxt, prv, pair_at)
 
-    # Occurrences are a slice of ``order`` (initial pairs), an array (pairs
-    # made by a batch round) or a list (pairs made one by one).
-    occ: dict[int, slice | np.ndarray | list[int]] = {
-        k: slice(s, s + c) for k, s, c in zip(mkeys, mstarts, msizes)
-    }
-    cnt: dict[int, int] = dict(zip(mkeys, msizes))
-    # Lazy max-heap of (-claim, key): a claim never undercounts the greedy
-    # count, and each key has at most one entry.
-    heap = [(-c, k) for k, c in zip(mkeys, msizes)]
-    heapq.heapify(heap)
-    del mkeys, mstarts, msizes
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    # The occurrences of each tracked pair; ``lost`` counts how many of
+    # them have changed pair since they were recorded.
+    occ = {k: order[s:e] for k, s, e in zip(mkeys, starts, ends)}
+    lost: Counter[int] = Counter()
+    # Claims grouped by value, each group a min-heap of keys, so the
+    # largest claim with the smallest key comes first.  A claim never
+    # undercounts the greedy count, each key has at most one, and no
+    # claim made later exceeds the one served, so ``top`` only falls.
+    # Keys arrive in ascending order, so each group starts as a heap.
+    claims: defaultdict[int, list[int]] = defaultdict(list)
+    for k, rec in occ.items():
+        claims[rec.size].append(k)
+    top = max(claims, default=0)
+    del mkeys, starts, ends
 
-    while heap:
-        claim, key = heappop(heap)
-        claim = -claim
-        c = cnt[key]
-        if c < claim:
+    while top >= 2:
+        group = claims.get(top)
+        if not group:
+            top -= 1
+            continue
+        key = heappop(group)
+        lost_now = lost.get(key, 0)
+        c = occ[key].size - lost_now
+        if c < top:
             # The raw count bounds the greedy one; re-check it later.
             if c >= 2:
-                heappush(heap, (-c, key))
+                heappush(claims[c], key)
             else:
-                occ.pop(key, None)
+                del occ[key]
             continue
-        raw = occ.pop(key)
-        if type(raw) is slice:
-            raw = order[raw]
+        chosen = occ.pop(key)
+        if lost_now:
+            chosen = chosen[pair_at[chosen] == key]
         a, b = divmod(key, base)
-        new_sym = sigma + len(bodies)
-        if c >= _BATCH_MIN_COUNT:
-            raw = np.asarray(raw)
-            chosen = _batch_choose(raw, key, a == b, nxt_v, pair_at_v)
-            if chosen.size < claim:
+        if a == b:
+            valid = chosen
+            chosen = _every_other(valid, nxt[valid[:-1]] == valid[1:])
+            if chosen.size < top:
+                # Occurrences overlap in runs; re-queue the greedy count.
                 if chosen.size >= 2:
-                    occ[key] = raw[pair_at_v[raw] == key]
-                    heappush(heap, (-chosen.size, key))
+                    occ[key] = valid
+                    lost.pop(key, None)
+                    heappush(claims[chosen.size], key)
                 continue
-            bodies.append((a, b))
-            _batch_replace(chosen, new_sym, base, views, cnt, occ, heap)
-            del cnt[key]
-            continue
-        if type(raw) is not list:
-            raw = raw.tolist()
-        if a != b:
-            chosen = [i for i in raw if pair_at[i] == key]
-        else:
-            # Inside a run only every other adjacency can be replaced.
-            raw = [i for i in raw if pair_at[i] == key]
-            chosen = []
-            prev_right = -1
-            for i in raw:
-                if i != prev_right:
-                    chosen.append(i)
-                    prev_right = nxt[i]
-            g = len(chosen)
-            if g < claim:
-                if g >= 2:
-                    occ[key] = raw
-                    heappush(heap, (-g, key))
-                continue
-
         bodies.append((a, b))
-        created: list[int] = []
-        for i in chosen:
-            j = nxt[i]
-            p = prv[i]
-            if p != -1:
-                k = pair_at[p]
-                if k >= 0:
-                    cnt[k] -= 1
-                k = vals[p] * base + new_sym
-                pair_at[p] = k
-                c = cnt.get(k)
-                if c is None:
-                    cnt[k] = 1
-                    occ[k] = [p]
-                    created.append(k)
-                else:
-                    cnt[k] = c + 1
-                    occ[k].append(p)
-            q = nxt[j]
-            if q != -1:
-                k = pair_at[j]
-                if k >= 0:
-                    cnt[k] -= 1
-                k = new_sym * base + vals[q]
-                pair_at[i] = k
-                c = cnt.get(k)
-                if c is None:
-                    cnt[k] = 1
-                    occ[k] = [i]
-                    created.append(k)
-                else:
-                    cnt[k] = c + 1
-                    occ[k].append(i)
-                prv[q] = i
-            else:
-                pair_at[i] = -1
-            vals[i] = new_sym
-            nxt[i] = q
-            pair_at[j] = -1
-        del cnt[key]
-        for k in created:
-            c = cnt[k]
-            if c >= 2:
-                heappush(heap, (-c, k))
-            else:
-                # A pair seen once can never repeat: stop tracking it.
-                for i in occ.pop(k):
-                    if pair_at[i] == k:
-                        pair_at[i] = -1
-                del cnt[k]
+        _batch_replace(chosen, sigma + len(bodies) - 1, base, links, occ, lost, claims)
 
-    out = []
-    i = 0
-    while i != -1:
-        out.append(vals[i])
-        i = nxt[i]
-    return out
+    # Replaced right halves hold negative values; the rest is the start rule.
+    vals = vals[:n]
+    return vals[vals >= 0].tolist()
 
 
-def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each run of equal values."""
-    starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    return starts, np.diff(np.append(starts, sorted_keys.size))
+def _run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values, then the length."""
+    edge = np.empty(sorted_keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
 
 
-def _batch_choose(
-    raw: np.ndarray, key: int, equal: bool, nxt: np.ndarray, pair_at: np.ndarray
-) -> np.ndarray:
-    """The live occurrences of ``key`` that a left-to-right pass replaces."""
-    valid = raw[pair_at[raw] == key]
-    if not equal or valid.size < 2:
-        return valid
-    # In a chain of overlapping (a, a) occurrences keep every other one.
-    seg_start = np.empty(valid.size, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(nxt[valid[:-1]], valid[1:], out=seg_start[1:])
-    seg_first = np.flatnonzero(seg_start)[np.cumsum(seg_start) - 1]
-    return valid[((np.arange(valid.size) - seg_first) & 1) == 0]
+def _every_other(idx: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Of ordered ``(a, a)`` occurrences, those a left-to-right pass replaces.
+
+    ``overlaps[k]`` tells whether ``idx[k + 1]`` overlaps ``idx[k]``.
+    """
+    chain_start = np.ones(idx.size, dtype=bool)
+    np.logical_not(overlaps, out=chain_start[1:])
+    rank = np.arange(idx.size)
+    first = rank[chain_start][np.cumsum(chain_start) - 1]
+    return idx[((rank - first) & 1) == 0]
 
 
 def _batch_replace(
     chosen: np.ndarray,
     new_sym: int,
     base: int,
-    views: tuple[np.ndarray, ...],
-    cnt: dict[int, int],
-    occ: dict,
-    heap: list[tuple[int, int]],
+    links: tuple[np.ndarray, ...],
+    occ: dict[int, np.ndarray],
+    lost: Counter[int],
+    claims: defaultdict[int, list[int]],
 ) -> None:
-    """Replace all ``chosen`` occurrences at once.
+    """Replace the pair at every ``chosen`` position with ``new_sym``.
 
-    Leaves the counts, links and occurrence records a one-by-one pass
-    leaves, except for pairs that pass makes and unmakes within the round.
+    ``chosen`` is ascending and non-overlapping.  Each occurrence ``i``
+    keeps its position and takes its right half ``j`` out of the list.
+    The pairs that started at ``prv[i]`` and ``j`` each lose an occurrence,
+    tallied in ``lost``; those that now start at ``prv[i]`` and ``i`` hold
+    the new symbol, and the ones that repeat get a record and a claim.  The
+    work is a fixed number of numpy calls, the tally, and one Python step
+    per distinct new pair; no Python loop visits the occurrences.
     """
-    vals, nxt, prv, pair_at = views
+    vals, nxt, prv, pair_at = links
     right = nxt[chosen]
-    left = prv[chosen]
     after = nxt[right]
-    has_after = after >= 0
-    # An occurrence right behind another chosen one gets its left pair
-    # from that occurrence's right pair, (new, new).
-    has_left = left >= 0
-    has_left[1:] &= after[:-1] != chosen[1:]
-    left = left[has_left]
-    gone = np.concatenate((pair_at[left], pair_at[right]))
-    gone, counts = np.unique(gone[gone >= 0], return_counts=True)
-    for k, c in zip(gone.tolist(), counts.tolist()):
-        cnt[k] -= c
-
-    vals[chosen] = new_sym
-    nxt[chosen] = after
-    prv[after[has_after]] = chosen[has_after]
+    left = prv[chosen]
+    # Clear the right halves before reading the left pairs: when an
+    # occurrence sits right behind another, its left neighbour is that
+    # one's right half, whose pair is counted once.
+    gone = pair_at[right].tolist()
     pair_at[right] = -1
-    pair_at[chosen[~has_after]] = -1
-    pos = np.concatenate((chosen[has_after], left))
-    keys = np.concatenate((new_sym * base + vals[after[has_after]], vals[left] * base + new_sym))
-    by_key = np.lexsort((pos, keys))
-    pos = pos[by_key]
-    keys = keys[by_key]
-    starts, sizes = _runs(keys)
-    pair_at[pos] = keys
-    pair_at[pos[starts[sizes < 2]]] = -1
-    for s, c in zip(starts[sizes >= 2].tolist(), sizes[sizes >= 2].tolist()):
-        k = int(keys[s])
-        cnt[k] = c
-        occ[k] = pos[s : s + c]
-        heapq.heappush(heap, (-c, k))
+    gone += pair_at[left].tolist()
+    lost.update(gone)
+    vals[chosen] = new_sym
+    # A removed right half gets a distinct negative value, so the pair a
+    # following occurrence would start there is made once.
+    vals[right] = ~right
+    nxt[chosen] = after
+    prv[after] = chosen
+    # Group the new pairs by the other symbol: x for (new, x) at chosen
+    # positions, y - base for (y, new) at left ones.  No code reaches
+    # base - 1 (a round removes at least two of the n symbols), so the two
+    # ranges are disjoint; each half is in position order, so a stable
+    # sort groups positions in order.
+    g = chosen.size
+    pos = np.concatenate((chosen, left, after, left))
+    other = vals[pos[2 * g :]]
+    pos = pos[: 2 * g]
+    pair_at[pos] = -1
+    other[g:] -= base
+    by_other = other.argsort(kind="stable")
+    pos = pos[by_other]
+    other = other[by_other]
+    bounds = _run_bounds(other).tolist()
+    for s, e in zip(bounds, bounds[1:]):
+        c = e - s
+        if c < 2:
+            # A pair made once can never repeat: leave it untracked.
+            continue
+        x = other.item(s)
+        k = new_sym * base + x if x >= 0 else (x + base) * base + new_sym
+        occ[k] = at = pos[s:e]
+        pair_at[at] = k
+        heappush(claims[c], k)

@@ -27,12 +27,8 @@ _WORDS_PER_SUPER = 8  # 512-bit superblocks
 
 def ceil_log2_ratio(p: int, q: int) -> int:
     """Smallest k with q * 2**k >= p, i.e. ceil(log2(p / q)); 0 when p <= q."""
-    k = 0
-    v = q
-    while v < p:
-        v += v
-        k += 1
-    return k
+    # 2**k >= p / q exactly when 2**k >= ceil(p / q).
+    return ((p + q - 1) // q - 1).bit_length() if p > q else 0
 
 
 def _position_array(positions: Sequence[int], universe: int) -> np.ndarray:

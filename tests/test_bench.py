@@ -90,6 +90,11 @@ class TestRunBenchmark:
             "corpus,index,substring_len,iterations,mean_us,checksum,seed"
         ]
 
+    def test_negative_iterations_rejected(self, fig1):
+        idx = build_fras(fig1, "plain")
+        with pytest.raises(ValueError, match="iterations"):
+            run_benchmark(idx, lengths=(1,), iterations=-5, seed=1)
+
     def test_same_seed_same_checksums(self, fig1):
         idx = build_fras(fig1, "sparse")
         a = run_benchmark(idx, lengths=(1, 3), iterations=200, seed=5)

@@ -186,6 +186,12 @@ class TestGet:
         assert code == 2
         assert "position-out-of-range" in err
 
+    def test_zero_length_names_count(self, capsys, fig1_index_file):
+        code, out, err = run(capsys, "get", "--index", fig1_index_file, "-p", "1", "-l", "0")
+        assert code == 2
+        assert out == ""
+        assert "position-out-of-range: p=1, count=0, n=15" in err
+
 
 class TestVerify:
     def test_mismatch_offset(self, capsys, tmp_path, corpus_file):
@@ -307,6 +313,13 @@ class TestBenchCommand:
                 [ln.rsplit(",", 2)[1] for ln in path.read_text().splitlines()[1:]]
             )
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["-5", "-1", "many"])
+    def test_bad_iterations_is_usage_error(self, capsys, small_index_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--index", small_index_file, "--iterations", value])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
     def test_bad_lengths_is_usage_error(self, capsys, small_index_file):
         with pytest.raises(SystemExit) as exc:

@@ -88,7 +88,7 @@ class TestRepairProperties:
             expected = _forced_incremental(monkeypatch, t)
             engines.clear()
             with monkeypatch.context() as m:
-                m.setattr(repair_mod, "_BATCH_MIN_COUNT", 0)
+                m.setattr(repair_mod, "_VECTOR_MIN_COUNT", 0)
                 m.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
                 got = repair_compress(t)
             assert engines == ["vector"]
@@ -96,13 +96,13 @@ class TestRepairProperties:
 
     def test_engine_handoff_matches(self, monkeypatch):
         # A high gain threshold makes the vector phase bail out mid-way,
-        # exercising the handoff into the incremental engine; batch_min 0
-        # then replaces every later round in numpy, 8 only the larger ones.
+        # exercising the handoff into the incremental engine; a count floor
+        # of 0 or 8 moves the hand-off to a different round.
         rng = random.Random(67)
         for k in range(80):
             t = random_text(rng, rng.randint(8, 300), rng.randint(1, 4))
             expected = naive_repair(t)
-            monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", 8 * (k & 1))
+            monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", 8 * (k & 1))
             monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 2)
             got = repair_compress(t)
             monkeypatch.undo()
@@ -111,19 +111,18 @@ class TestRepairProperties:
     def test_vector_engine_unique_path(self, monkeypatch):
         # Tiny bincount budget forces the sort-based counting branch.
         rng = random.Random(61)
-        monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", 0)
+        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", 0)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
         monkeypatch.setattr(repair_mod, "_BINCOUNT_MAX_BINS", 1)
         for _ in range(30):
             t = random_text(rng, rng.randint(2, 200), rng.randint(1, 4))
             assert repair_compress(t) == naive_repair(t)
 
-    @pytest.mark.parametrize("batch_min", [2, 5])
-    def test_batch_rounds_match_naive(self, monkeypatch, engines, batch_min):
+    def test_batch_rounds_match_naive(self, monkeypatch, engines):
         # Hand off before the first round; the incremental engine then
-        # replaces every round (batch_min 2) or the larger ones (5) in numpy.
+        # replaces every round.
         rng = random.Random(71)
-        monkeypatch.setattr(repair_mod, "_BATCH_MIN_COUNT", batch_min)
+        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", 2)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 0)
         for _ in range(60):
             t = random_text(rng, rng.randint(2, 400), rng.randint(1, 4))
@@ -133,6 +132,40 @@ class TestRepairProperties:
         for _ in range(30):
             t = b"".join(bytes([rng.choice(b"ab")]) * rng.randint(1, 9) for _ in range(40))
             assert repair_compress(t) == naive_repair(t)
+
+    def test_wide_pair_keys_match(self, monkeypatch):
+        # With all 256 byte values and a few rules made in numpy, the
+        # incremental engine starts with more than 256 codes, so its
+        # initial grouping sorts 32-bit keys instead of 16-bit ones.
+        rng = random.Random(73)
+        codes_at_handoff = []
+        incremental = repair_mod._incremental_rounds
+
+        def record(arr, sigma, bodies):
+            codes_at_handoff.append(sigma + len(bodies))
+            return incremental(arr, sigma, bodies)
+
+        for _ in range(20):
+            chunks = [rng.randbytes(4)] * 2
+            for _ in range(rng.randint(2, 5)):
+                piece = random_text(rng, rng.randint(2, 16), 4) + rng.randbytes(rng.randint(0, 6))
+                chunks += [piece] * rng.randint(2, 3)
+            rng.shuffle(chunks)
+            t = bytes(rng.sample(range(256), 256)) + b"".join(chunks)
+            assert len(t) <= 600
+            expected = naive_repair(t)
+            with monkeypatch.context() as m:
+                m.setattr(repair_mod, "_VECTOR_MIN_COUNT", 0)
+                m.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
+                assert repair_compress(t) == expected
+            assert _forced_incremental(monkeypatch, t) == expected
+            codes_at_handoff.clear()
+            with monkeypatch.context() as m:
+                m.setattr(repair_mod, "_VECTOR_MIN_COUNT", 3)
+                m.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
+                m.setattr(repair_mod, "_incremental_rounds", record)
+                assert repair_compress(t) == expected
+            assert len(codes_at_handoff) == 1 and codes_at_handoff[0] > 256
 
     @pytest.mark.parametrize(
         "shape",
@@ -180,9 +213,9 @@ def engines(monkeypatch):
 
 
 def _forced_incremental(monkeypatch, text: bytes) -> Grammar:
-    """``repair_compress`` handing off at once to one-by-one rounds."""
+    """``repair_compress`` handing off at once to the incremental engine."""
     with monkeypatch.context() as m:
-        m.setattr(repair_mod, "_BATCH_MIN_COUNT", 1 << 62)
+        m.setattr(repair_mod, "_VECTOR_MIN_COUNT", 1 << 62)
         g = repair_compress(text)
     return g
 

@@ -176,6 +176,22 @@ def test_ceil_log2_ratio():
     assert ceil_log2_ratio(3, 7) == 0
 
 
+def test_ceil_log2_ratio_matches_definition():
+    # The smallest k with q * 2**k >= p, found by doubling.
+    def by_doubling(p, q):
+        k = 0
+        while q << k < p:
+            k += 1
+        return k
+
+    top = (1 << 64) - 1
+    cases = [(p, q) for p in range(0, 70) for q in range(1, 70)]
+    cases += [(top - d, q) for d in range(4) for q in (1, 2, 3, 1 << 32, 1 << 63, top - 1, top)]
+    cases += [(1 << 63, (1 << 63) - 1), ((1 << 63) + 1, 1), (top, (1 << 63) + 1)]
+    for p, q in cases:
+        assert ceil_log2_ratio(p, q) == by_doubling(p, q), (p, q)
+
+
 def test_large_sampled_universe():
     rng = random.Random(37)
     universe = 10**7
