@@ -141,23 +141,24 @@ def sort_and_renumber(g: Grammar) -> tuple[Grammar, tuple[int, ...]]:
     m = len(g.rules)
     order = sorted(range(1, m), key=lambda j: (lengths[j - 1], j))
     order.append(m)
-    new_id = [0] * (m + 1)
-    for new, old in enumerate(order, start=1):
-        new_id[old] = new
-    rules = _renumbered(g.rules, order, len(g.alphabet))
-    return Grammar(g.alphabet, rules), tuple(new_id[1:])
+    sigma = len(g.alphabet)
+    rules, code = _renumbered(g.rules, order, sigma)
+    perm = tuple(code[c] - sigma + 1 for c in range(sigma, sigma + m))
+    return Grammar(g.alphabet, rules), perm
 
 
 def _renumbered(
     bodies: Sequence[Sequence[int]], keep: list[int], sigma: int
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     """The bodies of rules ``keep`` (1-based ids into ``bodies``) in that order.
 
     Rule ``keep[i]`` becomes rule ``i + 1``, and every reference follows it;
-    the kept bodies may reference only kept rules.
+    the kept bodies may reference only kept rules.  Also returns the map
+    from each kept rule's old code to its new one.
     """
     code = {sigma + old - 1: sigma + new for new, old in enumerate(keep)}
-    return tuple(tuple(c if c < sigma else code[c] for c in bodies[old - 1]) for old in keep)
+    rules = tuple(tuple(c if c < sigma else code[c] for c in bodies[old - 1]) for old in keep)
+    return rules, code
 
 
 def expand_chunks(g: Grammar) -> Iterator[bytes]:
@@ -294,7 +295,7 @@ def _drop_unreachable(g: Grammar) -> Grammar:
     if all(reachable[1:]):
         return g
     keep = [j for j in range(1, m + 1) if reachable[j]]
-    return Grammar(g.alphabet, _renumbered(g.rules, keep, sigma))
+    return Grammar(g.alphabet, _renumbered(g.rules, keep, sigma)[0])
 
 
 def inline_single_use(g: Grammar) -> Grammar:
@@ -325,7 +326,7 @@ def inline_single_use(g: Grammar) -> Grammar:
                     flat.append(c)
             flattened.append(flat)
         keep = [j for j in range(1, m + 1) if j not in single]
-        g = Grammar(g.alphabet, _renumbered(flattened, keep, sigma))
+        g = Grammar(g.alphabet, _renumbered(flattened, keep, sigma)[0])
 
 
 def stats(g: Grammar) -> GrammarStats:

@@ -196,7 +196,7 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
 
     vals = np.append(arr, -1).astype(np.int64)
     nxt = np.arange(1, n + 2, dtype=np.int64)
-    nxt[n - 1] = -1
+    nxt[n - 1 :] = -1
     prv = np.arange(-1, n, dtype=np.int64)
     links = (vals, nxt, prv, pair_at)
 

@@ -118,15 +118,13 @@ class TestRepairProperties:
             t = random_text(rng, rng.randint(2, 200), rng.randint(1, 4))
             assert repair_compress(t) == naive_repair(t)
 
-    @pytest.mark.parametrize(
-        "batch_min, gain_shift", [(2, 0), (5, 62)], ids=["2", "5"]
-    )
-    def test_batch_rounds_match_naive(self, monkeypatch, engines, batch_min, gain_shift):
+    @pytest.mark.parametrize("floor, gain_shift", [(2, 0), (5, 62)], ids=["2", "5"])
+    def test_batch_rounds_match_naive(self, monkeypatch, engines, floor, gain_shift):
         # [2] hands off before the first round, so the incremental engine
         # replaces every round; [5] lets the numpy rounds take every pair
         # with at least 5 occurrences and leaves rounds of 2-4 to the tail.
         rng = random.Random(71)
-        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", batch_min)
+        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", floor)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", gain_shift)
         for _ in range(60):
             t = random_text(rng, rng.randint(2, 400), rng.randint(1, 4))

@@ -3,7 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/repair_sweep.py --repeats 5
-    python3 tools/repair_sweep.py --src ../other/src --sizes 64KiB,random-access
+    python3 tools/repair_sweep.py --src ../other/src
 
 Every size runs in a fresh Python process, so one size's heap does not
 set another's peak RSS.  Each prints one JSON line: the text's length,
@@ -66,7 +66,6 @@ def measure(name: str, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed builds per size")
-    parser.add_argument("--sizes", default=",".join(SIZES), help="comma-separated size names")
     parser.add_argument("--src", default=str(SRC), help="src directory holding the fras package")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -76,11 +75,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, args.src)
         print(json.dumps(measure(args.child, args.repeats)))
         return 0
-    names = args.sizes.split(",")
-    unknown = [n for n in names if n not in SIZES]
-    if unknown:
-        parser.error(f"unknown sizes {unknown}; choose from {list(SIZES)}")
-    for name in names:
+    for name in SIZES:
         child = ["--child", name, "--repeats", str(args.repeats), "--src", args.src]
         subprocess.run([sys.executable, __file__, *child], check=True)
     return 0
