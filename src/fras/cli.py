@@ -157,14 +157,15 @@ def _cmd_index(args) -> int:
         idx = build_fras(g, args.bitvector)
     with open(args.output, "wb") as f:
         write_index(idx, f)
+    depth = stats(idx.grammar).depth
     if isinstance(idx, FrasIndex):
         print(
             f"kind={idx.kind} m={len(idx.grammar.rules)} n={idx.n}"
             f" L={len(idx.unique_lengths)} S={len(idx.grammar.rules[-1])}"
-            f" b_bs={idx.start_marks.num_set}"
+            f" b_bs={idx.start_marks.num_set} depth={depth}"
         )
     else:
-        print(f"kind={idx.kind} m={len(idx.grammar.rules)} n={idx.n}")
+        print(f"kind={idx.kind} m={len(idx.grammar.rules)} n={idx.n} depth={depth}")
     for line in _space_lines(idx):
         print(line)
     return 0

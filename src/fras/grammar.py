@@ -238,13 +238,19 @@ def is_cnf(g: Grammar) -> bool:
 
 
 def binarize_cnf(g: Grammar) -> Grammar:
-    """Convert to Chomsky normal form with left-leaning binary chains.
+    """Convert to Chomsky normal form with balanced binary trees.
 
-    Terminals get one proxy rule each (created on first use), and a body
-    ``a b c d`` becomes the chain ``(((a b) c) d)``.  Unary bodies alias
-    the referenced rule; a unary start rule instead copies its target's
-    binarized body so the start rule stays last.  Unreferenced leftovers
-    are dropped at the end, so the output always validates.
+    Terminals get one proxy rule each (created on first use).  A body of
+    k symbols becomes k - 1 pair rules built level by level: adjacent
+    symbols are paired, an odd last symbol is carried up unchanged, and
+    this repeats until one node is left, so ``a b c d`` becomes
+    ``((a b) (c d))`` and ``a b c`` becomes ``((a b) c)``.  A body thus
+    adds ``ceil(log2 k)`` levels, and on RePair output (binary rules
+    plus a start rule S) the CNF depth is ``stats(g).depth + ceil(log2
+    |S|)``.  Unary bodies alias the referenced rule; a unary start rule
+    instead copies its target's binarized body so the start rule stays
+    last.  Unreferenced leftovers are dropped at the end, so the output
+    always validates.
     """
     sigma = len(g.alphabet)
     out: list[tuple[int, ...]] = []
@@ -274,10 +280,13 @@ def binarize_cnf(g: Grammar) -> Grammar:
                 # Start must remain the last rule; clone the target body.
                 add_rule(out[mapped[0] - 1])
             continue
-        cur = mapped[0]
-        for s in mapped[1:]:
-            cur = add_rule((sigma + cur - 1, sigma + s - 1))
-        bmap[j] = cur
+        while len(mapped) > 1:
+            paired = [
+                add_rule((sigma + a - 1, sigma + b - 1))
+                for a, b in zip(mapped[::2], mapped[1::2])
+            ]
+            mapped = paired + mapped[2 * len(paired) :]
+        bmap[j] = mapped[0]
     return _drop_unreachable(Grammar(g.alphabet, tuple(out)))
 
 

@@ -98,6 +98,7 @@ class TestIndexCommand:
         assert "L=3" in out
         assert "S=4" in out
         assert "b_bs=4" in out
+        assert "depth=3" in out
         assert "fras_bound" in out
         with open(out_path, "rb") as f:
             idx = read_index(f)
@@ -117,6 +118,7 @@ class TestIndexCommand:
         )
         assert code == 0
         assert "binarizing" in err
+        assert "depth=6" in out
         with open(out_path, "rb") as f:
             idx = read_index(f)
         assert idx.kind == "folklore"
@@ -249,8 +251,8 @@ class TestStatsSpace:
         code, out, _ = run(capsys, "space", "--index", out_path)
         assert code == 0
         rows = {ln.split(",")[0]: ln.split(",")[1] for ln in out.strip().splitlines()[1:]}
-        # binarized: proxies a, c, g; ag, cg; agag, agagcg; agagcgagagcg, agagcgagagcgcg
-        assert rows["extract_memo_max_bits"] == str(8 * (3 + 2 + 2 + 4 + 6 + 12 + 14))
+        # binarized: proxies a, c, g; ag, cg; agag, agagcg; agagcgagagcg, cgc
+        assert rows["extract_memo_max_bits"] == str(8 * (3 + 2 + 2 + 4 + 6 + 12 + 3))
         assert rows["measured_auxiliary"] == "0"
 
     def test_space_single_char_grammar(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from fras import (
     expand,
     expand_chunks,
     expansion_lengths,
+    fibonacci_word,
     inline_single_use,
     is_cnf,
     repair_compress,
+    repetitive_text,
     sort_and_renumber,
     stats,
     validate,
@@ -183,6 +186,32 @@ class TestBinarize:
             assert validate(cnf).ok
             assert is_cnf(cnf)
             assert expand(cnf) == naive_expand(g)
+
+    def test_balanced_shape(self):
+        # Proxies for a, b, c, d are rules 1-4 (codes 4-7), pairs follow.
+        g = Grammar(alphabet=(97, 98, 99, 100), rules=((0, 1, 2, 3),))
+        assert binarize_cnf(g).rules[4:] == ((4, 5), (6, 7), (8, 9))
+        g = Grammar(alphabet=(97, 98, 99), rules=((0, 1, 2),))
+        assert binarize_cnf(g).rules[3:] == ((3, 4), (6, 5))
+
+    def test_depth_bound(self):
+        texts = (
+            repetitive_text(1000, 100, 0.002, 4),
+            repetitive_text(1024, 512, 0.001, 1),
+            fibonacci_word(20),
+        )
+        depths = []
+        for t in texts:
+            g = repair_compress(t)
+            st = stats(g)
+            depths.append(stats(binarize_cnf(g)).depth)
+            assert depths[-1] <= st.depth + math.ceil(math.log2(st.start))
+        assert depths == [29, 33, 19]
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_grammar(rng)
+            levels = max(1, math.ceil(math.log2(max(len(b) for b in g.rules))))
+            assert stats(binarize_cnf(g)).depth <= stats(g).depth * levels + 1
 
 
 class TestInlineSingleUse:
