@@ -14,18 +14,18 @@ it: ``extract`` continues the in-order walk from that stack,
 ``access`` is a length-1 ``extract``, and ``access_trace`` reads the
 visited rules off the stack.
 
-``extract`` copies memoized rule expansions in bulk: the walk fills a
-per-index memo (non-terminal code -> its expansion in terminal codes, for
-rules of at most ``_MEMO_RULE_LIMIT`` bytes) as it completes rules, and
-appends an entry whole instead of descending into a rule it has seen.  The
-memo is created by the first extract longer than one byte; building,
-loading and ``access`` never create it.  Entries are read off the grammar's
-bodies alone, so a corrupted length table or bitvector cannot put wrong
-bytes into it.
+``extract`` copies memoized rule expansions in bulk.  The memo maps every
+non-start rule of at most ``_MEMO_RULE_LIMIT`` bytes (by symbol code) to its
+expansion in terminal codes.  It is the small-expansion table that
+``grammar.expand_chunks`` also builds, and ``extract`` continues its walk with
+the same leaf walk, ``grammar._walk_leaves``.  The first extract longer than
+one byte builds the memo in one bottom-up pass; building, loading and
+``access`` never create it.  Entries are read off the grammar's bodies alone,
+so a corrupted length table or bitvector cannot put wrong bytes into it.
 
-The memo is an index's only mutable state, and every write to it stores the
-one value its key can have, so any number of threads may query an index
-concurrently.
+The memo is an index's only mutable state.  It is set once, to a table that
+never changes afterwards, and threads that race to build it build equal
+tables, so any number of threads may query an index concurrently.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .grammar import (
     MAX_TEXT_LENGTH,
     Grammar,
     GrammarError,
+    _byte_table,
+    _small_expansions,
+    _walk_leaves,
     expansion_lengths,
     require_valid,
     sort_and_renumber,
@@ -58,49 +61,8 @@ def _malformed(p: int, exc: Exception) -> AccessError:
     return AccessError("malformed-index", f"query at p={p} failed: {exc!r}")
 
 
-def _byte_table(g: Grammar) -> bytes:
-    return bytes(g.alphabet[i] if i < len(g.alphabet) else 0 for i in range(256))
-
-
 # Longest rule expansion, in bytes, that the extract memo stores.
 _MEMO_RULE_LIMIT = 128
-
-
-def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, memo: dict) -> None:
-    """Continue an in-order derivation-tree walk, appending terminal codes.
-
-    A non-terminal with a ``memo`` entry is copied from it.  Any other one
-    gets a ``[body, next_index, symbol, len(out)]`` frame, and its expansion
-    is stored in ``memo`` when that frame pops complete within the size
-    limit.  The two-item frames from ``_locate`` were entered mid-body and
-    are never stored.
-    """
-    while need and stack:
-        top = stack[-1]
-        body = top[0]
-        i = top[1]
-        if i == len(body):
-            stack.pop()
-            if len(top) == 4:
-                start = top[3]
-                if len(out) - start <= _MEMO_RULE_LIMIT:
-                    memo[top[2]] = bytes(out[start:])
-            continue
-        top[1] = i + 1
-        s = body[i]
-        if s < sigma:
-            out.append(s)
-            need -= 1
-            continue
-        piece = memo.get(s)
-        if piece is None:
-            stack.append([rules[s - sigma], 0, s, len(out)])
-        elif len(piece) <= need:
-            out += piece
-            need -= len(piece)
-        else:
-            out += piece[:need]
-            return
 
 
 class _Index:
@@ -142,7 +104,7 @@ class _Index:
 
         Only the first byte is located by descent; the rest streams out of
         an in-order continuation of the derivation-tree walk, which copies
-        the expansions of rules it has completed before.
+        the expansions of small rules whole from the extract memo.
         """
         if count < 1 or p < 1 or p + count - 1 > self.n:
             raise _out_of_range(p, self.n, count)
@@ -150,17 +112,20 @@ class _Index:
             stack, sym = self._locate(p)
             out = bytearray((sym,))
             if count > 1:
+                g = self.grammar
                 memo = self._memo
                 if memo is None:
-                    memo = vars(self).setdefault("_memo", {})
-                g = self.grammar
+                    # No total budget: the memo holds every rule within its limit.
+                    table = _small_expansions(g, _MEMO_RULE_LIMIT, MAX_TEXT_LENGTH)
+                    memo = vars(self).setdefault("_memo", table)
                 _walk_leaves(g.rules, len(g.alphabet), stack, out, count - 1, memo)
+                del out[count:]
         except (ValueError, IndexError) as exc:
             raise _malformed(p, exc) from exc
         return bytes(out.translate(self._table))
 
     def extract_memo_max_bits(self) -> int:
-        """Most bits the extract memo can hold: every non-start rule within its limit."""
+        """Bits the extract memo holds once built: every non-start rule within its limit."""
         lengths = expansion_lengths(self.grammar)[:-1]
         return 8 * sum(ln for ln in lengths if ln <= _MEMO_RULE_LIMIT)
 

@@ -126,8 +126,9 @@ def _space_lines(idx) -> list[str]:
 
 
 def _with_memo_ceiling(lines: list[str], idx) -> list[str]:
-    # Bits the lazily filled extract memo may grow to; not part of the
-    # index's stored tables, so not counted in measured_auxiliary.
+    # Bits the extract memo holds once the first long extract builds it;
+    # not part of the index's stored tables, so not counted in
+    # measured_auxiliary.
     memo = idx.extract_memo_max_bits()
     lines.append(f"extract_memo_max_bits,{memo},{memo}")
     return lines

@@ -161,63 +161,89 @@ def _renumbered(
     return rules, code
 
 
-def expand_chunks(g: Grammar) -> Iterator[bytes]:
-    """Yield the expansion of the start rule as a stream of byte chunks.
+def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int, bytes]:
+    """Expansions, in terminal codes, of the non-start rules of at most ``rule_limit`` bytes.
 
-    Small rules are pre-expanded into a byte cache (bounded by a total
-    budget); everything else is walked with an explicit stack, so no
-    derivation tree is materialized and memory stays bounded even for
-    texts far larger than the grammar.
+    One bottom-up pass, keyed by symbol code.  Rules are taken in id order,
+    each if its length still fits in what is left of ``total_limit`` bytes;
+    a rule whose body references a rule left out is left out too.
     """
     sigma = len(g.alphabet)
-    alpha = bytes(g.alphabet)
     lengths = expansion_lengths(g)
-    rules = g.rules
-
-    cache: dict[int, bytes] = {}
-    budget = _CACHE_TOTAL_LIMIT
-    for idx in range(len(rules) - 1):
-        n_j = lengths[idx]
-        if n_j > _CACHE_RULE_LIMIT or n_j > budget:
+    table: dict[int, bytes] = {}
+    budget = total_limit
+    for j, body in enumerate(g.rules[:-1]):
+        n_j = lengths[j]
+        if n_j > rule_limit or n_j > budget:
             continue
         buf = bytearray()
-        complete = True
-        for c in rules[idx]:
+        for c in body:
             if c < sigma:
-                buf.append(alpha[c])
+                buf.append(c)
             else:
-                piece = cache.get(c - sigma)
+                piece = table.get(c)
                 if piece is None:
-                    complete = False
                     break
                 buf += piece
-        if complete:
-            cache[idx] = bytes(buf)
+        else:
+            table[sigma + j] = bytes(buf)
             budget -= n_j
+    return table
 
-    out = bytearray()
-    stack: list[list] = [[rules[-1], 0]]
-    while stack:
+
+def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, table: dict) -> None:
+    """Continue an in-order derivation-tree walk, appending terminal codes to ``out``.
+
+    ``stack`` holds ``[body, next_index]`` frames, innermost last.  The walk
+    stops once it has appended ``need`` codes or the stack is empty.  A
+    non-terminal with a ``table`` entry is appended whole, so ``out`` may
+    end past ``need`` by less than the longest entry; any other one is
+    descended into.
+    """
+    while need > 0 and stack:
         top = stack[-1]
         body, i = top
         if i == len(body):
             stack.pop()
             continue
         top[1] = i + 1
-        c = body[i]
-        if c < sigma:
-            out.append(alpha[c])
+        s = body[i]
+        if s < sigma:
+            out.append(s)
+            need -= 1
+            continue
+        piece = table.get(s)
+        if piece is None:
+            stack.append([rules[s - sigma], 0])
         else:
-            piece = cache.get(c - sigma)
-            if piece is not None:
-                out += piece
-            else:
-                stack.append([rules[c - sigma], 0])
-        if len(out) >= _FLUSH_CHUNK:
-            yield bytes(out)
+            out += piece
+            need -= len(piece)
+
+
+def _byte_table(g: Grammar) -> bytes:
+    """Translation table from terminal codes to the bytes they stand for."""
+    return bytes(g.alphabet[i] if i < len(g.alphabet) else 0 for i in range(256))
+
+
+def expand_chunks(g: Grammar) -> Iterator[bytes]:
+    """Yield the expansion of the start rule as a stream of byte chunks.
+
+    Small rules are pre-expanded into a table (bounded by a total budget)
+    that the leaf walk copies from; everything else is walked with an
+    explicit stack, so no derivation tree is materialized and memory stays
+    bounded even for texts far larger than the grammar.
+    """
+    sigma = len(g.alphabet)
+    rules = g.rules
+    table = _small_expansions(g, _CACHE_RULE_LIMIT, _CACHE_TOTAL_LIMIT)
+    alpha = _byte_table(g)
+    out = bytearray()
+    stack: list[list] = [[rules[-1], 0]]
+    while stack:
+        _walk_leaves(rules, sigma, stack, out, _FLUSH_CHUNK, table)
+        if out:
+            yield bytes(out.translate(alpha))
             out.clear()
-    if out:
-        yield bytes(out)
 
 
 def expand(g: Grammar) -> bytes:
@@ -247,10 +273,9 @@ def binarize_cnf(g: Grammar) -> Grammar:
     ``((a b) (c d))`` and ``a b c`` becomes ``((a b) c)``.  A body thus
     adds ``ceil(log2 k)`` levels, and on RePair output (binary rules
     plus a start rule S) the CNF depth is ``stats(g).depth + ceil(log2
-    |S|)``.  Unary bodies alias the referenced rule; a unary start rule
-    instead copies its target's binarized body so the start rule stays
-    last.  Unreferenced leftovers are dropped at the end, so the output
-    always validates.
+    |S|)``.  Unary bodies alias the referenced rule, the start rule's
+    included: the output ends at the start rule's node, and unreferenced
+    leftovers are dropped, so the output always validates.
     """
     sigma = len(g.alphabet)
     out: list[tuple[int, ...]] = []
@@ -273,13 +298,6 @@ def binarize_cnf(g: Grammar) -> Grammar:
         mapped = [
             proxy_id(c) if c < sigma else bmap[c - sigma + 1] for c in g.rules[j - 1]
         ]
-        if len(mapped) == 1:
-            if j < m:
-                bmap[j] = mapped[0]
-            else:
-                # Start must remain the last rule; clone the target body.
-                add_rule(out[mapped[0] - 1])
-            continue
         while len(mapped) > 1:
             paired = [
                 add_rule((sigma + a - 1, sigma + b - 1))
@@ -287,7 +305,8 @@ def binarize_cnf(g: Grammar) -> Grammar:
             ]
             mapped = paired + mapped[2 * len(paired) :]
         bmap[j] = mapped[0]
-    return _drop_unreachable(Grammar(g.alphabet, tuple(out)))
+    # Rules after the start rule's node are unreachable from it.
+    return _drop_unreachable(Grammar(g.alphabet, tuple(out[: bmap[m]])))
 
 
 def _drop_unreachable(g: Grammar) -> Grammar:

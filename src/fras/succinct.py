@@ -119,10 +119,11 @@ class SparseBitvector:
     """High/low split encoding of a sparse position set.
 
     Values are split into ``w = max(0, floor(log2(universe / b)))`` low
-    bits, stored packed, and bucket indices encoded in unary in a plain
-    bitvector (b ones, one zero per bucket).  A table of each bucket's
-    first rank serves both queries: rank reads a bucket's range off it and
-    bisects the low bits inside, and select bisects over it for the bucket.
+    bits, stored packed, and a high part, the bucket index.  The high parts
+    are held as a table of each bucket's first rank, which serves both
+    queries: rank reads a bucket's range off it and bisects the low bits
+    inside, and select bisects over it for the bucket.  ``space_report``
+    counts the packed low bits as payload and the bucket table as auxiliary.
     """
 
     kind = "sparse"
@@ -151,8 +152,6 @@ class SparseBitvector:
 
         buckets = v >> w
         self._num_buckets = int(buckets[-1]) + 1
-        ranks = np.arange(1, b + 1, dtype=np.uint64)
-        self._high = PlainBitvector(ranks + buckets, b + self._num_buckets)
         # The first rank of each bucket, and num_set after the last one.
         starts = np.searchsorted(buckets, np.arange(self._num_buckets + 1, dtype=np.uint64))
         self._bucket_start = _exact_array("I" if b < 2**32 else "Q", starts)
@@ -214,14 +213,9 @@ class SparseBitvector:
 
     def space_report(self) -> dict[str, int]:
         b = self.num_set
-        payload = b * self._w + self._high.universe
-        high_report = self._high.space_report()
-        aux = (
-            (high_report["payload_bits"] - self._high.universe)
-            + high_report["auxiliary_bits"]
-            + (64 * len(self._low_words) - b * self._w)
-            + 8 * self._bucket_start.itemsize * len(self._bucket_start)
-        )
+        payload = b * self._w
+        table = 8 * self._bucket_start.itemsize * len(self._bucket_start)
+        aux = 64 * len(self._low_words) - payload + table
         bound = b * (2 + ceil_log2_ratio(self.universe, b)) + 1
         return {"payload_bits": payload, "auxiliary_bits": aux, "bound_bits": bound}
 

@@ -321,7 +321,7 @@ class TestExtractMemo:
             for idx in self.indexes(g):  # each extract on a cold index
                 assert idx.extract(p, c) == text[p - 1 : p - 1 + c]
         for idx in self.indexes(g):
-            for _ in range(2):  # the first pass fills the memo, the second reads it
+            for _ in range(2):  # the first extract builds the memo, later ones share it
                 for p, c in qs:
                     assert idx.extract(p, c) == text[p - 1 : p - 1 + c]
             self.check_memo(idx)
@@ -341,9 +341,9 @@ class TestExtractMemo:
                 self.check_grammar(g, t, rng)
 
     def test_every_cut_inside_memoized_rules(self):
-        # Warm the memo with whole-text extracts, then end an extract at
-        # every position: each count ends inside, or at the end of, rules
-        # the walk copies from the memo.
+        # After whole-text extracts, end an extract at every position: each
+        # count ends inside, or at the end of, rules the walk copies whole
+        # from the memo, and the copy past the count is trimmed.
         t = repetitive_text(31, 12, 0.02, 3)
         for idx in self.indexes(repair_compress(t)):
             idx.extract(1, idx.n)
@@ -353,6 +353,15 @@ class TestExtractMemo:
                 for c in range(1, len(t) - p + 2):
                     assert idx.extract(p, c) == t[p - 1 : p - 1 + c]
             self.check_memo(idx)
+
+    def test_memo_is_its_ceiling(self, fig1):
+        # The first extract longer than one byte builds the whole memo.
+        g = repair_compress(repetitive_text(97, 24, 0.003, 1))
+        for grammar in (fig1, g, inline_single_use(g), binarize_cnf(g)):
+            for idx in self.indexes(grammar):
+                idx.extract(idx.n - 1, 2)
+                assert 8 * sum(map(len, idx._memo.values())) == idx.extract_memo_max_bits()
+                self.check_memo(idx)
 
     def test_load_and_access_create_no_memo(self):
         t = repetitive_text(64, 8, 0.02, 5)

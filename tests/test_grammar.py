@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fras.grammar
 from fras import (
     Grammar,
     GrammarError,
@@ -147,6 +148,25 @@ class TestExpand:
             g = random_grammar(rng)
             assert expand(g) == naive_expand(g)
 
+    @pytest.mark.parametrize("flush, rule_limit, total_limit", [(5, 7, 40), (1, 1, 0)])
+    def test_chunks_past_the_table_limits(self, monkeypatch, flush, rule_limit, total_limit):
+        # Limits this small leave rules out of the small-expansion table for
+        # their length and for the total budget, and put many chunk ends
+        # inside the walk; a chunk ends at the first copy that reaches the
+        # flush size, so it overshoots by less than one table entry.
+        monkeypatch.setattr(fras.grammar, "_FLUSH_CHUNK", flush)
+        monkeypatch.setattr(fras.grammar, "_CACHE_RULE_LIMIT", rule_limit)
+        monkeypatch.setattr(fras.grammar, "_CACHE_TOTAL_LIMIT", total_limit)
+        rng = random.Random(29)
+        grammars = [random_grammar(rng) for _ in range(100)]
+        for seed in range(3):
+            g = repair_compress(repetitive_text(97, 8, 0.01, seed))
+            grammars += [g, inline_single_use(g)]
+        for g in grammars:
+            chunks = list(expand_chunks(g))
+            assert b"".join(chunks) == naive_expand(g)
+            assert all(flush <= len(c) < flush + rule_limit for c in chunks[:-1])
+
 
 class TestBinarize:
     def test_fig1(self, fig1, fig1_text):
@@ -173,10 +193,15 @@ class TestBinarize:
         assert cnf.rules == ((0,),)
 
     def test_unary_start(self):
+        # Proxies for a, b are rules 1-2 (codes 2-3); the unary start rule
+        # aliases its target, which is left last.
         g = Grammar(alphabet=(97, 98), rules=((0, 1), (2, 2), (3,)))
         cnf = binarize_cnf(g)
         assert validate(cnf).ok and is_cnf(cnf)
         assert expand(cnf) == b"abab"
+        assert cnf.rules == ((0,), (1,), (2, 3), (4, 4))
+        chain = Grammar(alphabet=(97, 98), rules=((0, 1, 0), (2,), (3, 1, 3), (4,)))
+        assert binarize_cnf(chain).rules == ((0,), (1,), (2, 3), (4, 2), (5, 3), (6, 5))
 
     def test_random(self):
         rng = random.Random(13)
