@@ -14,14 +14,15 @@ it: ``extract`` continues the in-order walk from that stack,
 ``access`` is a length-1 ``extract``, and ``access_trace`` reads the
 visited rules off the stack.
 
-``extract`` copies memoized rule expansions in bulk.  The memo maps every
-non-start rule of at most ``_MEMO_RULE_LIMIT`` bytes (by symbol code) to its
-expansion in terminal codes.  It is the small-expansion table that
-``grammar.expand_chunks`` also builds, and ``extract`` continues its walk with
-the same leaf walk, ``grammar._walk_leaves``.  The first extract longer than
-one byte builds the memo in one bottom-up pass; building, loading and
-``access`` never create it.  Entries are read off the grammar's bodies alone,
-so a corrupted length table or bitvector cannot put wrong bytes into it.
+``extract`` copies memoized expansions in bulk.  The memo maps every
+terminal and every non-start rule of at most ``_MEMO_RULE_LIMIT`` bytes (by
+symbol code) to its bytes in the text, so nothing is translated afterwards.
+It is the small-expansion table that ``grammar.expand_chunks`` also builds,
+and ``extract`` continues its walk with the same leaf walk,
+``grammar._walk_leaves``.  The first extract longer than one byte builds the
+memo in one bottom-up pass; building, loading and ``access`` never create it.
+Entries are read off the grammar's bodies alone, so a corrupted length table
+or bitvector cannot put wrong bytes into it.
 
 The memo is an index's only mutable state.  It is set once, to a table that
 never changes afterwards, and threads that race to build it build equal
@@ -34,7 +35,6 @@ from .grammar import (
     MAX_TEXT_LENGTH,
     Grammar,
     GrammarError,
-    _byte_table,
     _small_expansions,
     _walk_leaves,
     expansion_lengths,
@@ -104,15 +104,16 @@ class _Index:
 
         Only the first byte is located by descent; the rest streams out of
         an in-order continuation of the derivation-tree walk, which copies
-        the expansions of small rules whole from the extract memo.
+        the text bytes of terminals and small rules whole from the extract
+        memo.
         """
         if count < 1 or p < 1 or p + count - 1 > self.n:
             raise _out_of_range(p, self.n, count)
         try:
             stack, sym = self._locate(p)
-            out = bytearray((sym,))
+            g = self.grammar
+            out = bytearray((g.alphabet[sym],))
             if count > 1:
-                g = self.grammar
                 memo = self._memo
                 if memo is None:
                     # No total budget: the memo holds every rule within its limit.
@@ -122,12 +123,13 @@ class _Index:
                 del out[count:]
         except (ValueError, IndexError) as exc:
             raise _malformed(p, exc) from exc
-        return bytes(out.translate(self._table))
+        return bytes(out)
 
     def extract_memo_max_bits(self) -> int:
-        """Bits the extract memo holds once built: every non-start rule within its limit."""
-        lengths = expansion_lengths(self.grammar)[:-1]
-        return 8 * sum(ln for ln in lengths if ln <= _MEMO_RULE_LIMIT)
+        """Bits the extract memo holds once built: every terminal and non-start rule within its limit."""
+        g = self.grammar
+        lengths = expansion_lengths(g)[:-1]
+        return 8 * (len(g.alphabet) + sum(ln for ln in lengths if ln <= _MEMO_RULE_LIMIT))
 
 
 class FolkloreIndex(_Index):
@@ -139,7 +141,6 @@ class FolkloreIndex(_Index):
         self.grammar = grammar
         self.left_lengths = left_lengths
         self.n = n
-        self._table = _byte_table(grammar)
 
     def _locate(self, p: int) -> tuple[list[list], int]:
         rules = self.grammar.rules
@@ -177,7 +178,6 @@ class FrasIndex(_Index):
         self.rule_marks = rule_marks  # one bit per rule: first of its length
         self.start_marks = start_marks  # one bit per text position starting a start symbol
         self.n = n
-        self._table = _byte_table(grammar)
 
     @property
     def kind(self) -> str:

@@ -162,15 +162,17 @@ def _renumbered(
 
 
 def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int, bytes]:
-    """Expansions, in terminal codes, of the non-start rules of at most ``rule_limit`` bytes.
+    """Text bytes of every terminal and of the non-start rules of at most ``rule_limit`` bytes.
 
-    One bottom-up pass, keyed by symbol code.  Rules are taken in id order,
-    each if its length still fits in what is left of ``total_limit`` bytes;
-    a rule whose body references a rule left out is left out too.
+    One bottom-up pass, keyed by symbol code.  Each terminal code maps to its
+    alphabet byte, outside both limits, since the leaf walk copies every
+    leaf from the table.  Rules are taken in id order, each if its length
+    still fits in what is left of ``total_limit`` bytes; a rule whose body
+    references a rule left out is left out too.
     """
     sigma = len(g.alphabet)
     lengths = expansion_lengths(g)
-    table: dict[int, bytes] = {}
+    table = {c: bytes((b,)) for c, b in enumerate(g.alphabet)}
     budget = total_limit
     for j, body in enumerate(g.rules[:-1]):
         n_j = lengths[j]
@@ -178,13 +180,10 @@ def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int
             continue
         buf = bytearray()
         for c in body:
-            if c < sigma:
-                buf.append(c)
-            else:
-                piece = table.get(c)
-                if piece is None:
-                    break
-                buf += piece
+            piece = table.get(c)
+            if piece is None:
+                break
+            buf += piece
         else:
             table[sigma + j] = bytes(buf)
             budget -= n_j
@@ -192,13 +191,13 @@ def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int
 
 
 def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, table: dict) -> None:
-    """Continue an in-order derivation-tree walk, appending terminal codes to ``out``.
+    """Continue an in-order derivation-tree walk, appending text bytes to ``out``.
 
     ``stack`` holds ``[body, next_index]`` frames, innermost last.  The walk
-    stops once it has appended ``need`` codes or the stack is empty.  A
-    non-terminal with a ``table`` entry is appended whole, so ``out`` may
-    end past ``need`` by less than the longest entry; any other one is
-    descended into.
+    stops once it has appended ``need`` bytes or the stack is empty.  A
+    symbol with a ``table`` entry (every terminal has one) is appended
+    whole, so ``out`` may end past ``need`` by less than the longest entry;
+    any other one is descended into.
     """
     while need > 0 and stack:
         top = stack[-1]
@@ -208,10 +207,6 @@ def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, tabl
             continue
         top[1] = i + 1
         s = body[i]
-        if s < sigma:
-            out.append(s)
-            need -= 1
-            continue
         piece = table.get(s)
         if piece is None:
             stack.append([rules[s - sigma], 0])
@@ -220,29 +215,24 @@ def _walk_leaves(rules, sigma: int, stack: list, out: bytearray, need: int, tabl
             need -= len(piece)
 
 
-def _byte_table(g: Grammar) -> bytes:
-    """Translation table from terminal codes to the bytes they stand for."""
-    return bytes(g.alphabet[i] if i < len(g.alphabet) else 0 for i in range(256))
-
-
 def expand_chunks(g: Grammar) -> Iterator[bytes]:
     """Yield the expansion of the start rule as a stream of byte chunks.
 
-    Small rules are pre-expanded into a table (bounded by a total budget)
-    that the leaf walk copies from; everything else is walked with an
-    explicit stack, so no derivation tree is materialized and memory stays
-    bounded even for texts far larger than the grammar.
+    The text bytes of terminals and small rules are pre-expanded into a
+    table (rules bounded by a total budget) that the leaf walk copies from;
+    everything else is walked with an explicit stack, so no derivation tree
+    is materialized and memory stays bounded even for texts far larger than
+    the grammar.
     """
     sigma = len(g.alphabet)
     rules = g.rules
     table = _small_expansions(g, _CACHE_RULE_LIMIT, _CACHE_TOTAL_LIMIT)
-    alpha = _byte_table(g)
     out = bytearray()
     stack: list[list] = [[rules[-1], 0]]
     while stack:
         _walk_leaves(rules, sigma, stack, out, _FLUSH_CHUNK, table)
         if out:
-            yield bytes(out.translate(alpha))
+            yield bytes(out)
             out.clear()
 
 

@@ -11,7 +11,8 @@ Two engines implement the same replacement sequence, one after the other,
 at every input size.  The text starts in a numpy engine whose rounds each
 count every pair and replace the winner in one pass over the whole array.
 It keeps going while a round replaces at least ``_VECTOR_MIN_COUNT + (len
->> _VECTOR_MIN_GAIN_SHIFT)`` occurrences, then hands the array to an
+>> _VECTOR_MIN_GAIN_SHIFT)`` occurrences and every code pair has a bin in a
+``np.bincount`` of at most ``_BINCOUNT_MAX_BINS``, then hands the array to an
 incremental engine, a linked list whose rounds each replace the chosen
 pair with a fixed number of numpy passes over its occurrences, so their
 cost grows with those occurrences rather than with the length.  The
@@ -61,12 +62,14 @@ def repair_compress(text: bytes) -> Grammar:
 def _vector_rounds(
     arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...]]
 ) -> tuple[np.ndarray, bool]:
-    """Replace pairs while a round pays for its pass; True once none repeats."""
+    """Replace pairs while a round pays for its pass and fits a bincount; True once none repeats."""
     # One key buffer for every round: a fresh array each round costs
     # about as much in page faults as computing the keys.
     buf = np.empty(arr.size, dtype=np.int64)
     while True:
         ncodes = sigma + len(bodies)
+        if ncodes * ncodes > _BINCOUNT_MAX_BINS:
+            return arr, False
         best = _best_pair(arr, ncodes, buf)
         if best is None:
             return arr, True
@@ -92,26 +95,16 @@ def _best_pair(arr: np.ndarray, ncodes: int, buf: np.ndarray) -> tuple[int, int,
     ties, or None once every count drops below 2.
     """
     keys = _pair_keys(arr, ncodes, buf)
-    if ncodes * ncodes <= _BINCOUNT_MAX_BINS:
-        counts = np.bincount(keys)
-        _apply_run_correction(arr, counts, None, ncodes)
-        top = int(counts.max()) if counts.size else 0
-        if top < 2:
-            return None
-        key = int(np.argmax(counts))
-    else:
-        uniq, counts = np.unique(keys, return_counts=True)
-        _apply_run_correction(arr, counts, uniq, ncodes)
-        top = int(counts.max()) if counts.size else 0
-        if top < 2:
-            return None
-        key = int(uniq[np.argmax(counts)])
+    counts = np.bincount(keys)
+    _apply_run_correction(arr, counts, ncodes)
+    top = int(counts.max()) if counts.size else 0
+    if top < 2:
+        return None
+    key = int(np.argmax(counts))
     return top, key // ncodes, key % ncodes
 
 
-def _apply_run_correction(
-    arr: np.ndarray, counts: np.ndarray, uniq: np.ndarray | None, ncodes: int
-) -> None:
+def _apply_run_correction(arr: np.ndarray, counts: np.ndarray, ncodes: int) -> None:
     """Deduct overlapped occurrences of equal pairs inside symbol runs.
 
     A run of t adjacencies of the same symbol counts ``floor((t+1)/2)``
@@ -127,11 +120,7 @@ def _apply_run_correction(
     seg_len = np.bincount(seg_ids)
     syms = arr[eq_idx[seg_start]].astype(np.int64)
     overlaps = seg_len // 2
-    run_keys = syms * (ncodes + 1)
-    if uniq is None:
-        np.subtract.at(counts, run_keys, overlaps)
-    else:
-        np.subtract.at(counts, np.searchsorted(uniq, run_keys), overlaps)
+    np.subtract.at(counts, syms * (ncodes + 1), overlaps)
 
 
 def _replace_pair(arr: np.ndarray, a: int, b: int, new_sym: int) -> np.ndarray:

@@ -207,9 +207,7 @@ class SparseBitvector:
         if r < 1 or r > self.num_set:
             raise ValueError("select out of range")
         bucket = bisect_right(self._bucket_start, r - 1) - 1
-        if self._w:
-            return (bucket << self._w) + self._low_at(r - 1) + 1
-        return bucket + 1
+        return (bucket << self._w) + self._low_at(r - 1) + 1
 
     def space_report(self) -> dict[str, int]:
         b = self.num_set

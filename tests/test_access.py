@@ -12,6 +12,7 @@ from fras import (
     build_folklore,
     build_fras,
     expand,
+    expand_chunks,
     index_from_bytes,
     index_to_bytes,
     inline_single_use,
@@ -194,6 +195,30 @@ class TestExtract:
                 idx = indexes[rng.randrange(3)]
                 assert idx.extract(p, ln) == expected
 
+    def test_every_byte_value(self):
+        # 0x00 and 0xFF included: each byte maps to its alphabet code and back.
+        rng = random.Random(89)
+        values = list(range(256))
+        rng.shuffle(values)
+        t = bytearray(values)
+        while len(t) < 3000:
+            if rng.random() < 0.8:
+                p = rng.randrange(len(t))
+                t += t[p : p + rng.randint(2, 40)]
+            else:
+                t.append(rng.randrange(256))
+        t = bytes(t)
+        g = repair_compress(t)
+        assert g.alphabet == tuple(range(256))
+        assert expand(g) == b"".join(expand_chunks(g)) == t
+        for idx in TestGeneralGrammarTraces.indexes(g):
+            for p in range(1, len(t) + 1):
+                assert idx.access(p) == t[p - 1]
+            for _ in range(200):
+                p = rng.randint(1, len(t))
+                c = rng.randint(1, min(len(t) - p + 1, 2 * _MEMO_RULE_LIMIT))
+                assert idx.extract(p, c) == t[p - 1 : p - 1 + c]
+
 
 class TestSortedDescentEquivalence:
     def test_cnf_traces_match_folklore(self):
@@ -299,11 +324,14 @@ class TestExtractMemo:
     def check_memo(idx):
         g = idx.grammar
         sigma = len(g.alphabet)
-        code = {b: i for i, b in enumerate(g.alphabet)}
         exps = naive_rule_expansions(g)
-        for s, entry in idx._memo.items():
-            assert sigma <= s < sigma + len(g.rules) - 1
-            assert entry == bytes(code[b] for b in exps[s - sigma])
+        memo = idx._memo
+        for c, byte in enumerate(g.alphabet):
+            assert memo[c] == bytes((byte,))
+        for s, entry in memo.items():
+            assert 0 <= s < sigma + len(g.rules) - 1
+            if s >= sigma:
+                assert entry == exps[s - sigma]
             assert len(entry) <= _MEMO_RULE_LIMIT
 
     @staticmethod

@@ -240,8 +240,9 @@ class TestStatsSpace:
         assert rows["grammar_bits"][0] == 11 * 3
         assert rows["length_bits"][0] == 8 * 4
         assert rows["measured_payload"][0] <= rows["fras_bound"][0] + rows["measured_auxiliary"][0]
-        # non-start expansions ag, cg, agagcg: 10 bytes the extract memo may hold
-        assert rows["extract_memo_max_bits"] == (8 * 10, 8 * 10)
+        # terminals a, c, g and non-start expansions ag, cg, agagcg: 13 bytes
+        # the extract memo may hold
+        assert rows["extract_memo_max_bits"] == (8 * 13, 8 * 13)
 
     def test_space_fig1_folklore_memo_ceiling(self, capsys, tmp_path, fig1_grammar_file):
         out_path = str(tmp_path / "fig1.fix")
@@ -251,8 +252,9 @@ class TestStatsSpace:
         code, out, _ = run(capsys, "space", "--index", out_path)
         assert code == 0
         rows = {ln.split(",")[0]: ln.split(",")[1] for ln in out.strip().splitlines()[1:]}
-        # binarized: proxies a, c, g; ag, cg; agag, agagcg; agagcgagagcg, cgc
-        assert rows["extract_memo_max_bits"] == str(8 * (3 + 2 + 2 + 4 + 6 + 12 + 3))
+        # terminals a, c, g; binarized: proxies a, c, g; ag, cg; agag, agagcg;
+        # agagcgagagcg, cgc
+        assert rows["extract_memo_max_bits"] == str(8 * (3 + 3 + 2 + 2 + 4 + 6 + 12 + 3))
         assert rows["measured_auxiliary"] == "0"
 
     def test_space_single_char_grammar(self, capsys, tmp_path):

@@ -108,15 +108,18 @@ class TestRepairProperties:
             monkeypatch.undo()
             assert got == expected
 
-    def test_vector_engine_unique_path(self, monkeypatch):
-        # Tiny bincount budget forces the sort-based counting branch.
+    def test_bincount_budget_hands_off(self, monkeypatch, engines):
+        # A tiny bincount budget makes the numpy rounds hand off as soon as
+        # the code pairs outgrow it; the incremental engine finishes alike.
         rng = random.Random(61)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", 0)
         monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
         monkeypatch.setattr(repair_mod, "_BINCOUNT_MAX_BINS", 1)
         for _ in range(30):
             t = random_text(rng, rng.randint(2, 200), rng.randint(1, 4))
+            engines.clear()
             assert repair_compress(t) == naive_repair(t)
+            assert engines == ["vector", "incremental"]
 
     @pytest.mark.parametrize("floor, gain_shift", [(2, 0), (5, 62)], ids=["2", "5"])
     def test_batch_rounds_match_naive(self, monkeypatch, engines, floor, gain_shift):
