@@ -264,8 +264,8 @@ def binarize_cnf(g: Grammar) -> Grammar:
     adds ``ceil(log2 k)`` levels, and on RePair output (binary rules
     plus a start rule S) the CNF depth is ``stats(g).depth + ceil(log2
     |S|)``.  Unary bodies alias the referenced rule, the start rule's
-    included: the output ends at the start rule's node, and unreferenced
-    leftovers are dropped, so the output always validates.
+    included.  The input must be valid: then every node is reachable from
+    the start rule's, which is made last, so the output validates too.
     """
     sigma = len(g.alphabet)
     out: list[tuple[int, ...]] = []
@@ -295,56 +295,39 @@ def binarize_cnf(g: Grammar) -> Grammar:
             ]
             mapped = paired + mapped[2 * len(paired) :]
         bmap[j] = mapped[0]
-    # Rules after the start rule's node are unreachable from it.
-    return _drop_unreachable(Grammar(g.alphabet, tuple(out[: bmap[m]])))
-
-
-def _drop_unreachable(g: Grammar) -> Grammar:
-    sigma = len(g.alphabet)
-    m = len(g.rules)
-    reachable = [False] * (m + 1)
-    reachable[m] = True
-    todo = [m]
-    while todo:
-        for c in g.rules[todo.pop() - 1]:
-            if c >= sigma and not reachable[c - sigma + 1]:
-                reachable[c - sigma + 1] = True
-                todo.append(c - sigma + 1)
-    if all(reachable[1:]):
-        return g
-    keep = [j for j in range(1, m + 1) if reachable[j]]
-    return Grammar(g.alphabet, _renumbered(g.rules, keep, sigma)[0])
+    return Grammar(g.alphabet, tuple(out))
 
 
 def inline_single_use(g: Grammar) -> Grammar:
     """Substitute away every rule referenced exactly once (start excluded).
 
     Useful for turning binary-rule compressor output into general grammars
-    with long bodies.  Runs to a fixpoint; expansion is preserved.
+    with long bodies; expansion is preserved.  One pass suffices: inlining
+    a rule moves its references into its one parent, so no other rule's
+    reference count changes.  The input must be valid.
     """
     sigma = len(g.alphabet)
-    while True:
-        m = len(g.rules)
-        refs = [0] * (m + 1)
-        for body in g.rules:
-            for c in body:
-                if c >= sigma:
-                    refs[c - sigma + 1] += 1
-        single = {j for j in range(1, m) if refs[j] == 1}
-        if not single:
-            return g
-        flattened: list[list[int]] = []
-        for j in range(1, m + 1):
-            flat: list[int] = []
-            for c in g.rules[j - 1]:
-                rid = c - sigma + 1 if c >= sigma else 0
-                if rid in single:
-                    flat.extend(flattened[rid - 1])
-                else:
-                    flat.append(c)
-            flattened.append(flat)
-        keep = [j for j in range(1, m + 1) if j not in single]
-        g = Grammar(g.alphabet, _renumbered(flattened, keep, sigma)[0])
+    m = len(g.rules)
+    refs = [0] * (m + 1)
+    for body in g.rules:
+        for c in body:
+            if c >= sigma:
+                refs[c - sigma + 1] += 1
+    single = {j for j in range(1, m) if refs[j] == 1}
+    if not single:
+        return g
+    flattened: list[list[int]] = []
+    for j in range(1, m + 1):
+        flat: list[int] = []
+        for c in g.rules[j - 1]:
+            rid = c - sigma + 1 if c >= sigma else 0
+            if rid in single:
+                flat.extend(flattened[rid - 1])
+            else:
+                flat.append(c)
+        flattened.append(flat)
+    keep = [j for j in range(1, m + 1) if j not in single]
+    return Grammar(g.alphabet, _renumbered(flattened, keep, sigma)[0])
 
 
 def stats(g: Grammar) -> GrammarStats:

@@ -22,7 +22,7 @@ are int64, which holds them for texts below 3e9 bytes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from heapq import heappop, heappush
 
 import numpy as np
@@ -148,11 +148,12 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
     position ``i``, or -1 when no pair there is worth tracking, which
     validates a recorded occurrence with one lookup.
 
-    Each round serves the largest claim, checked against the record's size
-    minus the occurrences ``lost`` since, which rounds tally for the pairs
-    they break; a claim that is too high is re-queued without a pass over
-    its record.  Every round replaces its occurrences with the same few
-    dozen numpy calls (``_batch_replace``), be they 2 or 2 million.
+    Each round pops the largest claim and keeps the recorded occurrences
+    whose ``pair_at`` still holds the key, and of an ``(a, a)`` pair those a
+    left-to-right pass replaces.  If fewer are left than claimed, the pair
+    is re-queued at that exact count; otherwise they are served.  Every
+    round replaces its occurrences with the same few dozen numpy calls
+    (``_batch_replace``), be they 2 or 2 million.
 
     The int64 arrays ``vals``, ``nxt``, ``prv`` and ``pair_at`` have an
     extra slot at index ``n``, which the link value -1 addresses.  Its value
@@ -189,10 +190,9 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
     prv = np.arange(-1, n, dtype=np.int64)
     links = (vals, nxt, prv, pair_at)
 
-    # The occurrences of each tracked pair; ``lost`` counts how many of
-    # them have changed pair since they were recorded.
+    # The occurrences recorded for each tracked pair; those whose
+    # ``pair_at`` has changed since are lost.
     occ = {k: order[s:e] for k, s, e in zip(mkeys, starts, ends)}
-    lost: Counter[int] = Counter()
     # Claims grouped by value, each group a min-heap of keys, so the
     # largest claim with the smallest key comes first.  A claim never
     # undercounts the greedy count, each key has at most one, and no
@@ -210,31 +210,18 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
             top -= 1
             continue
         key = heappop(group)
-        lost_now = lost.get(key, 0)
-        c = occ[key].size - lost_now
-        if c < top:
-            # The raw count bounds the greedy one; re-check it later.
-            if c >= 2:
-                heappush(claims[c], key)
-            else:
-                del occ[key]
-            continue
-        chosen = occ.pop(key)
-        if lost_now:
-            chosen = chosen[pair_at[chosen] == key]
+        rec = occ.pop(key)
+        valid = rec[pair_at[rec] == key]
         a, b = divmod(key, base)
-        if a == b:
-            valid = chosen
-            chosen = _every_other(valid, nxt[valid[:-1]] == valid[1:])
-            if chosen.size < top:
-                # Occurrences overlap in runs; re-queue the greedy count.
-                if chosen.size >= 2:
-                    occ[key] = valid
-                    lost.pop(key, None)
-                    heappush(claims[chosen.size], key)
-                continue
+        chosen = _every_other(valid, nxt[valid[:-1]] == valid[1:]) if a == b else valid
+        if chosen.size < top:
+            # The claim was too high: re-queue the exact greedy count.
+            if chosen.size >= 2:
+                occ[key] = valid
+                heappush(claims[chosen.size], key)
+            continue
         bodies.append((a, b))
-        _batch_replace(chosen, sigma + len(bodies) - 1, base, links, occ, lost, claims)
+        _batch_replace(chosen, sigma + len(bodies) - 1, base, links, occ, claims)
 
     # Replaced right halves hold negative values; the rest is the start rule.
     vals = vals[:n]
@@ -267,7 +254,6 @@ def _batch_replace(
     base: int,
     links: tuple[np.ndarray, ...],
     occ: dict[int, np.ndarray],
-    lost: Counter[int],
     claims: defaultdict[int, list[int]],
 ) -> None:
     """Replace the pair at every ``chosen`` position with ``new_sym``.
@@ -275,22 +261,16 @@ def _batch_replace(
     ``chosen`` is ascending and non-overlapping.  Each occurrence ``i``
     keeps its position and takes its right half ``j`` out of the list.
     The pairs that started at ``prv[i]`` and ``j`` each lose an occurrence,
-    tallied in ``lost``; those that now start at ``prv[i]`` and ``i`` hold
-    the new symbol, and the ones that repeat get a record and a claim.  The
-    work is a fixed number of numpy calls, the tally, and one Python step
+    as ``pair_at`` there changes; those that now start at ``prv[i]`` and
+    ``i`` hold the new symbol, and the ones that repeat get a record and a
+    claim.  The work is a fixed number of numpy calls and one Python step
     per distinct new pair; no Python loop visits the occurrences.
     """
     vals, nxt, prv, pair_at = links
     right = nxt[chosen]
     after = nxt[right]
     left = prv[chosen]
-    # Clear the right halves before reading the left pairs: when an
-    # occurrence sits right behind another, its left neighbour is that
-    # one's right half, whose pair is counted once.
-    gone = pair_at[right].tolist()
     pair_at[right] = -1
-    gone += pair_at[left].tolist()
-    lost.update(gone)
     vals[chosen] = new_sym
     # A removed right half gets a distinct negative value, so the pair a
     # following occurrence would start there is made once.

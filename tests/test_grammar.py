@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -256,12 +257,17 @@ class TestInlineSingleUse:
 
     def test_repair_output_round_trip(self):
         rng = random.Random(17)
-        for _ in range(30):
-            t = random_text(rng, rng.randint(2, 300), rng.randint(1, 4))
-            g = repair_compress(t)
+        texts = [random_text(rng, rng.randint(2, 300), rng.randint(1, 4)) for _ in range(30)]
+        grammars = [repair_compress(t) for t in texts]
+        grammars += [random_grammar(rng) for _ in range(20)]
+        for g in grammars:
             out = inline_single_use(g)
             assert validate(out).ok
-            assert expand(out) == t
+            assert expand(out) == naive_expand(g)
+            # One pass leaves no non-start rule referenced exactly once.
+            sigma = len(out.alphabet)
+            refs = Counter(c for body in out.rules for c in body if c >= sigma)
+            assert 1 not in [refs[sigma + j] for j in range(len(out.rules) - 1)]
 
 
 class TestStats:

@@ -8,10 +8,12 @@ Run from the root of a checkout:
 Every size runs in a fresh Python process, so one size's heap does not
 set another's peak RSS.  Each prints one JSON line: the text's length,
 the best of ``--repeats`` timed ``repair_compress`` calls, the process's
-``ru_maxrss`` in MB (text generation included) and the SHA-256 of
-``grammar_to_bytes`` of the grammar, which two checkouts compare to show
-that they build the same grammar.  ``--src`` points at the ``src``
-directory of the checkout to measure, which is this checkout's by default.
+``ru_maxrss`` in MB read right after the first of them (text generation
+included; heap left over from the later ones cannot raise it) and the
+SHA-256 of ``grammar_to_bytes`` of the grammar, which two checkouts
+compare to show that they build the same grammar.  ``--src`` points at
+the ``src`` directory of the checkout to measure, which is this
+checkout's by default.
 """
 
 from __future__ import annotations
@@ -48,17 +50,19 @@ def measure(name: str, repeats: int) -> dict:
 
     text = repetitive_text(*SIZES[name])
     best = float("inf")
-    for _ in range(repeats):
+    for i in range(repeats):
         t0 = time.perf_counter()
         g = repair_compress(text)
         best = min(best, time.perf_counter() - t0)
+        if i == 0:
+            maxrss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return {
         "size": name,
         "bytes": len(text),
         "rules": len(g.rules),
         "best_s": round(best, 4),
         "repeats": repeats,
-        "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "maxrss_mb": maxrss_mb,
         "sha256": hashlib.sha256(grammar_to_bytes(g)).hexdigest(),
     }
 
