@@ -7,6 +7,11 @@ per-rule length lookup collapses into rank over a one-bit-per-rule vector
 plus a small array of distinct lengths, and the start-rule symbol covering
 a position is found with one rank/select pair over a text-length vector.
 
+An index is built from its grammar alone: each constructor derives every
+table the index holds, so ``build_folklore``/``build_fras`` and loading a
+``.fix`` file run the same construction.  The constructors take a valid
+grammar; the builders and the loader validate it first.
+
 Each index has exactly one descent, its ``_locate``, which returns the
 leaf's terminal code and the stack of rules passed on the way down.
 ``access``, ``access_trace`` and ``extract`` are written once on top of
@@ -41,7 +46,7 @@ from .grammar import (
     require_valid,
     sort_and_renumber,
 )
-from .succinct import Bitvector, build_bitvector
+from .succinct import build_bitvector
 
 
 class AccessError(Exception):
@@ -71,9 +76,10 @@ class _Index:
     ``_locate(p)`` descends to the leaf at 1-based position p and returns
     the leaf's terminal code with the ``[body, next_index]`` stack of the
     rules it passed through, so ``body[next_index - 1]`` is the symbol
-    each level descended into.  A ``ValueError`` or ``IndexError`` raised
-    below a query means the index's tables are inconsistent and reaches the
-    caller as ``AccessError("malformed-index", ...)``.
+    each level descended into.  The constructors derive the tables from the
+    grammar, but assigning to an index's attributes afterwards can still
+    make them disagree; a ``ValueError`` or ``IndexError`` raised below a
+    query then reaches the caller as ``AccessError("malformed-index", ...)``.
     """
 
     _memo: dict[int, bytes] | None = None  # extract memo; see the module docstring
@@ -133,14 +139,34 @@ class _Index:
 
 
 class FolkloreIndex(_Index):
-    """CNF grammar plus the expansion length of every rule's left child."""
+    """CNF grammar plus the expansion length of every rule's left child.
+
+    The grammar must be valid.  One bottom-up pass derives the table and
+    checks that the grammar is in CNF.
+    """
 
     kind = "folklore"
 
-    def __init__(self, grammar: Grammar, left_lengths: tuple[int, ...], n: int):
+    def __init__(self, grammar: Grammar):
+        sigma = len(grammar.alphabet)
+        lengths = [1] * sigma  # expansion length by symbol code
+        lefts: list[int] = []
+        for body in grammar.rules:
+            if len(body) == 2 and body[0] >= sigma and body[1] >= sigma:
+                left_len = lengths[body[0]]
+                lengths.append(left_len + lengths[body[1]])
+                lefts.append(left_len)
+            elif len(body) == 1 and body[0] < sigma:
+                lengths.append(1)
+                lefts.append(1)  # sentinel, never read for terminal rules
+            else:
+                raise AccessError("malformed-index", "grammar is not in CNF")
+        # Every rule is used, so the start rule's expansion is the longest.
+        if lengths[-1] > MAX_TEXT_LENGTH:
+            raise GrammarError("length overflow")
         self.grammar = grammar
-        self.left_lengths = left_lengths
-        self.n = n
+        self.left_lengths = tuple(lefts)
+        self.n = lengths[-1]
 
     def _locate(self, p: int) -> tuple[list[list], int]:
         rules = self.grammar.rules
@@ -163,20 +189,43 @@ class FolkloreIndex(_Index):
 
 
 class FrasIndex(_Index):
-    """Sorted grammar, distinct-length array and the two query bitvectors."""
+    """Sorted grammar, distinct-length array and the two query bitvectors.
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        unique_lengths: tuple[int, ...],
-        rule_marks: Bitvector,
-        start_marks: Bitvector,
-        n: int,
-    ):
+    The grammar must be valid, with its rules sorted by expansion length as
+    ``sort_and_renumber`` leaves them.  The per-rule length table is only
+    materialized here; queries recover lengths through rank on the rule
+    marks plus the distinct-length array.
+    """
+
+    def __init__(self, grammar: Grammar, bitvector_kind: str):
+        lengths = expansion_lengths(grammar)
+        n = lengths[-1]
+
+        unique: list[int] = []
+        first_positions: list[int] = []
+        for j, ln in enumerate(lengths, start=1):
+            if not unique or ln > unique[-1]:
+                unique.append(ln)
+                first_positions.append(j)
+            elif ln < unique[-1]:
+                raise AccessError(
+                    "malformed-index",
+                    f"rules are not sorted by expansion length: rule {j} is shorter than rule {j - 1}",
+                )
+
+        start_positions: list[int] = []
+        pos = 1
+        sigma = len(grammar.alphabet)
+        for c in grammar.rules[-1]:
+            start_positions.append(pos)
+            pos += 1 if c < sigma else lengths[c - sigma]
+
         self.grammar = grammar
-        self.unique_lengths = unique_lengths
-        self.rule_marks = rule_marks  # one bit per rule: first of its length
-        self.start_marks = start_marks  # one bit per text position starting a start symbol
+        self.unique_lengths = tuple(unique)
+        # One bit per rule: first of its length.
+        self.rule_marks = build_bitvector(first_positions, len(grammar.rules), bitvector_kind)
+        # One bit per text position starting a start symbol.
+        self.start_marks = build_bitvector(start_positions, n, bitvector_kind)
         self.n = n
 
     @property
@@ -210,68 +259,12 @@ class FrasIndex(_Index):
 
 
 def build_folklore(g: Grammar) -> FolkloreIndex:
-    """Length-table construction for a CNF grammar, one bottom-up pass."""
+    """Validate a CNF grammar and build its folklore index."""
     require_valid(g)
-    return _folklore_index(g)
-
-
-def _folklore_index(g: Grammar) -> FolkloreIndex:
-    """The left-length table of a valid grammar; the same pass checks CNF."""
-    sigma = len(g.alphabet)
-    lengths = [1] * sigma  # expansion length by symbol code
-    lefts: list[int] = []
-    for body in g.rules:
-        if len(body) == 2 and body[0] >= sigma and body[1] >= sigma:
-            left_len = lengths[body[0]]
-            lengths.append(left_len + lengths[body[1]])
-            lefts.append(left_len)
-        elif len(body) == 1 and body[0] < sigma:
-            lengths.append(1)
-            lefts.append(1)  # sentinel, never read for terminal rules
-        else:
-            raise AccessError("malformed-index", "grammar is not in CNF")
-    # Every rule is used, so the start rule's expansion is the longest.
-    if lengths[-1] > MAX_TEXT_LENGTH:
-        raise GrammarError("length overflow")
-    return FolkloreIndex(g, tuple(lefts), lengths[-1])
+    return FolkloreIndex(g)
 
 
 def build_fras(g: Grammar, bitvector_kind: str = "sparse") -> FrasIndex:
-    """Sort rules by expansion length and build the two mark bitvectors.
-
-    The per-rule length table is only materialized transiently; queries
-    recover lengths through rank on the rule marks plus the distinct
-    length array.
-    """
+    """Validate a grammar, sort its rules by expansion length and build its FRAS index."""
     require_valid(g)
-    gs, _ = sort_and_renumber(g)
-    return _fras_index(gs, bitvector_kind)
-
-
-def _fras_index(gs: Grammar, bitvector_kind: str) -> FrasIndex:
-    """The tables of a valid grammar whose rules are sorted by expansion length."""
-    lengths = expansion_lengths(gs)
-    n = lengths[-1]
-
-    unique: list[int] = []
-    first_positions: list[int] = []
-    for j, ln in enumerate(lengths, start=1):
-        if not unique or ln > unique[-1]:
-            unique.append(ln)
-            first_positions.append(j)
-        elif ln < unique[-1]:
-            raise AccessError(
-                "malformed-index",
-                f"rules are not sorted by expansion length: rule {j} is shorter than rule {j - 1}",
-            )
-    rule_marks = build_bitvector(first_positions, len(gs.rules), bitvector_kind)
-
-    start_positions: list[int] = []
-    pos = 1
-    sigma = len(gs.alphabet)
-    for c in gs.rules[-1]:
-        start_positions.append(pos)
-        pos += 1 if c < sigma else lengths[c - sigma]
-    start_marks = build_bitvector(start_positions, n, bitvector_kind)
-
-    return FrasIndex(gs, tuple(unique), rule_marks, start_marks, n)
+    return FrasIndex(sort_and_renumber(g)[0], bitvector_kind)

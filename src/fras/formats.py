@@ -9,9 +9,10 @@ the same fields for debugging and hand-written inputs.
 
 Index files (extension ``.fix``): magic ``FRIX2\\0``, a kind byte (0
 folklore, 1 FRAS with sparse bitvectors, 2 FRAS with plain ones) and the
-grammar section verbatim, nothing else.  Every table an index holds is
-derived from its grammar, so loading runs the same construction as
-``build_folklore``/``build_fras`` and no stored table can disagree with
+grammar section verbatim, nothing else.  An index is built from its
+grammar alone, so loading validates the grammar and calls the same
+constructor, ``FolkloreIndex`` or ``FrasIndex``, as
+``build_folklore``/``build_fras``, and no stored table can disagree with
 the grammar.  A FRAS grammar must already be sorted by expansion length
 and a folklore grammar must be in CNF, so re-serializing a loaded index
 is byte-identical.
@@ -23,7 +24,7 @@ import sys
 from array import array
 from typing import BinaryIO, Iterable
 
-from .access import AccessError, FolkloreIndex, FrasIndex, _folklore_index, _fras_index
+from .access import AccessError, FolkloreIndex, FrasIndex
 from .grammar import Grammar, require_valid
 
 GRAMMAR_MAGIC = b"FRAS1\x00"
@@ -85,9 +86,11 @@ def grammar_to_bytes(g: Grammar) -> bytes:
     out += len(g.alphabet).to_bytes(4, "little")
     out += bytes(g.alphabet)
     out += len(g.rules).to_bytes(4, "little")
+    words: list[int] = []
     for body in g.rules:
-        out += len(body).to_bytes(4, "little")
-        out += _pack("I", body)
+        words.append(len(body))
+        words += body
+    out += _pack("I", words)
     return bytes(out)
 
 
@@ -191,7 +194,7 @@ def index_to_bytes(idx: FolkloreIndex | FrasIndex) -> bytes:
 
 
 def index_from_bytes(data: bytes) -> FolkloreIndex | FrasIndex:
-    """Read the grammar and build the index's tables, as the build functions do."""
+    """Read and validate the grammar, then call the index's constructor."""
     if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("unrecognized format")
     cur = _Cursor(data)
@@ -208,8 +211,8 @@ def index_from_bytes(data: bytes) -> FolkloreIndex | FrasIndex:
     name = _INDEX_KINDS[kind]
     try:
         if name == "folklore":
-            return _folklore_index(g)
-        return _fras_index(g, name.removeprefix("fras-"))
+            return FolkloreIndex(g)
+        return FrasIndex(g, name.removeprefix("fras-"))
     except AccessError as exc:
         raise FormatError(f"{name} index: {exc.detail}") from exc
 

@@ -139,25 +139,28 @@ def sort_and_renumber(g: Grammar) -> tuple[Grammar, tuple[int, ...]]:
     """
     lengths = expansion_lengths(g)
     m = len(g.rules)
-    order = sorted(range(1, m), key=lambda j: (lengths[j - 1], j))
-    order.append(m)
+    order = sorted(range(m - 1), key=lengths.__getitem__)
+    order.append(m - 1)
     sigma = len(g.alphabet)
     rules, code = _renumbered(g.rules, order, sigma)
-    perm = tuple(code[c] - sigma + 1 for c in range(sigma, sigma + m))
+    perm = tuple(c - sigma + 1 for c in code[sigma:])
     return Grammar(g.alphabet, rules), perm
 
 
 def _renumbered(
     bodies: Sequence[Sequence[int]], keep: list[int], sigma: int
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The bodies of rules ``keep`` (1-based ids into ``bodies``) in that order.
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The bodies at ``keep`` (0-based indices into ``bodies``) in that order.
 
-    Rule ``keep[i]`` becomes rule ``i + 1``, and every reference follows it;
-    the kept bodies may reference only kept rules.  Also returns the map
-    from each kept rule's old code to its new one.
+    ``bodies[keep[i]]`` becomes rule ``i + 1``, and every reference follows
+    it; the kept bodies may reference only kept rules.  Also returns the
+    list mapping each old symbol code to its new one: terminals map to
+    themselves, and the entries of rules not kept are meaningless.
     """
-    code = {sigma + old - 1: sigma + new for new, old in enumerate(keep)}
-    rules = tuple(tuple(c if c < sigma else code[c] for c in bodies[old - 1]) for old in keep)
+    code = list(range(sigma + len(bodies)))
+    for new, old in enumerate(keep):
+        code[sigma + old] = sigma + new
+    rules = tuple(tuple(map(code.__getitem__, bodies[old])) for old in keep)
     return rules, code
 
 
@@ -326,7 +329,7 @@ def inline_single_use(g: Grammar) -> Grammar:
             else:
                 flat.append(c)
         flattened.append(flat)
-    keep = [j for j in range(1, m + 1) if j not in single]
+    keep = [j - 1 for j in range(1, m + 1) if j not in single]
     return Grammar(g.alphabet, _renumbered(flattened, keep, sigma)[0])
 
 

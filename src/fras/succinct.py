@@ -119,11 +119,13 @@ class SparseBitvector:
     """High/low split encoding of a sparse position set.
 
     Values are split into ``w = max(0, floor(log2(universe / b)))`` low
-    bits, stored packed, and a high part, the bucket index.  The high parts
-    are held as a table of each bucket's first rank, which serves both
-    queries: rank reads a bucket's range off it and bisects the low bits
-    inside, and select bisects over it for the bucket.  ``space_report``
-    counts the packed low bits as payload and the bucket table as auxiliary.
+    bits and a high part, the bucket index.  The low bits fill fixed slots,
+    ``64 // w`` to a 64-bit word, so none straddles two words.  The high
+    parts are held as a table of each bucket's first rank, which serves
+    both queries: rank reads a bucket's range off it and bisects the low
+    bits inside, and select bisects over it for the bucket.
+    ``space_report`` counts ``b * w`` low bits as payload, and the unused
+    slot bits and the bucket table as auxiliary.
     """
 
     kind = "sparse"
@@ -139,15 +141,13 @@ class SparseBitvector:
         self._w = w
         self._mask = (1 << w) - 1
 
-        # Rank r's low bits start at bit r * w of the packed words; the part
-        # past the end of a word spills into the next one.
+        # Rank r's low bits fill slot r % per of word r // per.  At w == 0
+        # every slot is empty, and one word holds them all.
+        per = self._per = 64 // w if w else b
         v = pos - 1
-        lows = v & self._mask
-        bit = np.arange(b, dtype=np.uint64) * w
-        low_words = np.zeros((b * w + 63) // 64 + 1, np.uint64)
-        np.bitwise_or.at(low_words, bit >> 6, lows << (bit & 63))
-        spill = (bit & 63) + w > 64
-        np.bitwise_or.at(low_words, (bit[spill] >> 6) + 1, lows[spill] >> (64 - (bit[spill] & 63)))
+        slot = np.arange(b, dtype=np.uint64)
+        low_words = np.zeros(-(-b // per), np.uint64)
+        np.bitwise_or.at(low_words, slot // per, (v & self._mask) << (slot % per * w))
         self._low_words = _exact_array("Q", low_words)
 
         buckets = v >> w
@@ -161,13 +161,8 @@ class SparseBitvector:
         return self._w
 
     def _low_at(self, r: int) -> int:
-        w = self._w
-        bit = r * w
-        chunk = self._low_words[bit >> 6] >> (bit & 63)
-        spill = (bit & 63) + w - 64
-        if spill > 0:
-            chunk |= self._low_words[(bit >> 6) + 1] << (w - spill)
-        return chunk & self._mask
+        per = self._per
+        return self._low_words[r // per] >> (r % per * self._w) & self._mask
 
     def rank(self, i: int) -> int:
         if i == 0:
@@ -188,16 +183,12 @@ class SparseBitvector:
         mask = self._mask
         target = v & mask
         lows = self._low_words
+        per = self._per
         # First rank in the bucket whose low bits exceed the target.
         lo, hi = r0, r1
         while lo < hi:
             mid = (lo + hi) >> 1
-            bit = mid * w
-            low = lows[bit >> 6] >> (bit & 63)
-            spill = (bit & 63) + w - 64
-            if spill > 0:
-                low |= lows[(bit >> 6) + 1] << (w - spill)
-            if low & mask <= target:
+            if lows[mid // per] >> (mid % per * w) & mask <= target:
                 lo = mid + 1
             else:
                 hi = mid

@@ -6,6 +6,8 @@ import pytest
 
 from fras import (
     AccessError,
+    FolkloreIndex,
+    FrasIndex,
     Grammar,
     GrammarError,
     binarize_cnf,
@@ -92,9 +94,10 @@ class TestFolklore:
                     assert idx.left_lengths[j - 1] == len(exps[body[0] - sigma])
 
     def test_rejects_non_cnf(self, fig1):
-        with pytest.raises(AccessError) as exc:
-            build_folklore(fig1)
-        assert exc.value.kind == "malformed-index"
+        for build in (build_folklore, FolkloreIndex):
+            with pytest.raises(AccessError, match="grammar is not in CNF") as exc:
+                build(fig1)
+            assert exc.value.kind == "malformed-index"
 
     def test_rejects_length_overflow(self):
         # X1 = a, X(k+1) = X(k) X(k): X65 derives 2**64 bytes, one too many.
@@ -241,6 +244,17 @@ class TestSortedDescentEquivalence:
         gs, _ = sort_and_renumber(fig1)
         idx = build_fras(gs, "plain")
         assert idx.grammar.rules == gs.rules
+
+    @pytest.mark.parametrize("kind", ["plain", "sparse"])
+    def test_constructor_rejects_unsorted_grammar(self, kind):
+        # Rules "aba", "ab", then the start rule: valid, but not sorted by length.
+        unsorted = Grammar((97, 98), ((0, 1, 0), (0, 1), (2, 3)))
+        with pytest.raises(
+            AccessError,
+            match="rules are not sorted by expansion length: rule 2 is shorter than rule 1",
+        ) as exc:
+            FrasIndex(unsorted, kind)
+        assert exc.value.kind == "malformed-index"
 
 
 class TestGeneralGrammarTraces:

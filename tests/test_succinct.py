@@ -146,6 +146,7 @@ class TestSpace:
         b = 300
         bv = SparseBitvector(list(range(1, b + 1)), b)
         assert bv.low_width == 0
+        assert len(bv._low_words) == 1  # every low slot is empty
         report = bv.space_report()
         assert report["payload_bits"] <= 2 * b + 1
 
@@ -236,6 +237,28 @@ def test_sparse_at_64_bit_universes(universe):
             assert bv.rank(p) == r
             assert bv.rank(p - 1) == r - 1
         assert bv.rank(universe) == len(positions)
+
+
+@pytest.mark.parametrize("w", range(64))
+def test_sparse_every_low_width(w):
+    # b positions in a universe of b * 2**w give low width w.  Filling a
+    # few words' worth of slots (``64 // w`` to a word) uses the last slot
+    # of each word; at w == 63 the universe leaves room for one position.
+    per = 64 // w if w else 64
+    b = min(3 * per + 1, 2 ** (64 - w) - 1)
+    universe = b << w
+    # The positions sit in a window at the top of the universe, so their
+    # low parts use the high bits of each slot; the window's ranks are
+    # checked exhaustively.
+    window = min(universe, 4 * b + 64)
+    base = universe - window
+    rng = random.Random(w)
+    offsets = sorted(rng.sample(range(1, window + 1), b))
+    bv = SparseBitvector([base + x for x in offsets], universe)
+    assert bv.low_width == w
+    ranks = naive_ranks(offsets, window)
+    assert [bv.rank(base + i) for i in range(window + 1)] == ranks
+    assert [bv.select(r) for r in range(1, b + 1)] == [base + x for x in offsets]
 
 
 def mixed_word_positions(rng, universe):

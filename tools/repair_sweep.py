@@ -7,7 +7,8 @@ Run from the root of a checkout:
 
 Every size runs in a fresh Python process, so one size's heap does not
 set another's peak RSS.  Each prints one JSON line: the text's length,
-the best of ``--repeats`` timed ``repair_compress`` calls, the process's
+the best, the median and the interquartile range of ``--repeats`` timed
+``repair_compress`` calls (the range is 0 for one repeat), the process's
 ``ru_maxrss`` in MB read right after the first of them (text generation
 included; heap left over from the later ones cannot raise it) and the
 SHA-256 of ``grammar_to_bytes`` of the grammar, which two checkouts
@@ -22,6 +23,7 @@ import argparse
 import hashlib
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -49,18 +51,21 @@ def measure(name: str, repeats: int) -> dict:
     from fras.formats import grammar_to_bytes
 
     text = repetitive_text(*SIZES[name])
-    best = float("inf")
+    times = []
     for i in range(repeats):
         t0 = time.perf_counter()
         g = repair_compress(text)
-        best = min(best, time.perf_counter() - t0)
+        times.append(time.perf_counter() - t0)
         if i == 0:
             maxrss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else (0, 0, 0)
     return {
         "size": name,
         "bytes": len(text),
         "rules": len(g.rules),
-        "best_s": round(best, 4),
+        "best_s": round(min(times), 4),
+        "median_s": round(statistics.median(times), 4),
+        "iqr_s": round(q3 - q1, 4),
         "repeats": repeats,
         "maxrss_mb": maxrss_mb,
         "sha256": hashlib.sha256(grammar_to_bytes(g)).hexdigest(),
