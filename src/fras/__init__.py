@@ -17,10 +17,6 @@ from .formats import (
     grammar_to_text,
     index_from_bytes,
     index_to_bytes,
-    read_grammar,
-    read_index,
-    write_grammar,
-    write_index,
 )
 from .grammar import (
     Grammar,
@@ -74,8 +70,6 @@ __all__ = [
     "inline_single_use",
     "is_cnf",
     "parse_csv",
-    "read_grammar",
-    "read_index",
     "repair_compress",
     "repetitive_text",
     "report_to_csv",
@@ -83,6 +77,4 @@ __all__ = [
     "sort_and_renumber",
     "stats",
     "validate",
-    "write_grammar",
-    "write_index",
 ]

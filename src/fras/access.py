@@ -132,10 +132,9 @@ class _Index:
         return bytes(out)
 
     def extract_memo_max_bits(self) -> int:
-        """Bits the extract memo holds once built: every terminal and non-start rule within its limit."""
-        g = self.grammar
-        lengths = expansion_lengths(g)[:-1]
-        return 8 * (len(g.alphabet) + sum(ln for ln in lengths if ln <= _MEMO_RULE_LIMIT))
+        """Bits the extract memo holds once built."""
+        table = _small_expansions(self.grammar, _MEMO_RULE_LIMIT, MAX_TEXT_LENGTH)
+        return 8 * sum(map(len, table.values()))
 
 
 class FolkloreIndex(_Index):
@@ -267,4 +266,4 @@ def build_folklore(g: Grammar) -> FolkloreIndex:
 def build_fras(g: Grammar, bitvector_kind: str = "sparse") -> FrasIndex:
     """Validate a grammar, sort its rules by expansion length and build its FRAS index."""
     require_valid(g)
-    return FrasIndex(sort_and_renumber(g)[0], bitvector_kind)
+    return FrasIndex(sort_and_renumber(g), bitvector_kind)

@@ -21,10 +21,11 @@ from .access import (
 from .bench import DEFAULT_ITERATIONS, DEFAULT_LENGTHS, report_to_csv, run_benchmark
 from .formats import (
     FormatError,
-    read_grammar,
-    read_index,
-    write_grammar,
-    write_index,
+    grammar_from_bytes,
+    grammar_to_bytes,
+    grammar_to_text,
+    index_from_bytes,
+    index_to_bytes,
 )
 from .grammar import (
     GrammarError,
@@ -62,16 +63,6 @@ def _parse_iterations(value: str) -> int:
     if count < 0:
         raise argparse.ArgumentTypeError("iterations must be >= 0")
     return count
-
-
-def _read_grammar_path(path: str):
-    with open(path, "rb") as f:
-        return read_grammar(f)
-
-
-def _read_index_path(path: str):
-    with open(path, "rb") as f:
-        return read_index(f)
 
 
 def _stats_lines(g) -> list[str]:
@@ -135,20 +126,21 @@ def _with_memo_ceiling(lines: list[str], idx) -> list[str]:
 
 
 def _cmd_build(args) -> int:
-    with open(args.input, "rb") as f:
-        text = f.read()
-    g = repair_compress(text)
+    g = repair_compress(Path(args.input).read_bytes())
     if args.inline_single_use:
         g = inline_single_use(g)
-    with open(args.output, "wb") as f:
-        write_grammar(g, f, text=args.output.endswith(".fgt"))
+    if args.output.endswith(".fgt"):
+        data = grammar_to_text(g).encode("ascii")
+    else:
+        data = grammar_to_bytes(g)
+    Path(args.output).write_bytes(data)
     for line in _stats_lines(g):
         print(line)
     return 0
 
 
 def _cmd_index(args) -> int:
-    g = _read_grammar_path(args.grammar)
+    g = grammar_from_bytes(Path(args.grammar).read_bytes())
     if args.structure == "folklore":
         if not is_cnf(g):
             print("notice: binarizing grammar for the folklore index", file=sys.stderr)
@@ -156,8 +148,7 @@ def _cmd_index(args) -> int:
         idx = build_folklore(g)
     else:
         idx = build_fras(g, args.bitvector)
-    with open(args.output, "wb") as f:
-        write_index(idx, f)
+    Path(args.output).write_bytes(index_to_bytes(idx))
     depth = stats(idx.grammar).depth
     if isinstance(idx, FrasIndex):
         print(
@@ -173,7 +164,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_get(args) -> int:
-    idx = _read_index_path(args.index)
+    idx = index_from_bytes(Path(args.index).read_bytes())
     data = idx.extract(args.position, args.length)
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
@@ -181,7 +172,7 @@ def _cmd_get(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_grammar_path(args.grammar)
+    g = grammar_from_bytes(Path(args.grammar).read_bytes())
     offset = 0
     mismatch = None
     with open(args.text, "rb") as f:
@@ -203,21 +194,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g = _read_grammar_path(args.grammar)
+    g = grammar_from_bytes(Path(args.grammar).read_bytes())
     for line in _stats_lines(g):
         print(line)
     return 0
 
 
 def _cmd_space(args) -> int:
-    idx = _read_index_path(args.index)
+    idx = index_from_bytes(Path(args.index).read_bytes())
     for line in _space_lines(idx):
         print(line)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    idx = _read_index_path(args.index)
+    idx = index_from_bytes(Path(args.index).read_bytes())
     report = run_benchmark(
         idx,
         lengths=args.lengths,

@@ -1,4 +1,4 @@
-"""Bit-exact file formats for grammars and indexes.
+"""Bit-exact file formats for grammars and indexes, as bytes in and bytes out.
 
 Grammar files (binary, extension ``.fgz``): magic ``FRAS1\\0``, then
 little-endian u32 fields: alphabet size, the alphabet bytes in ascending
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 from .access import AccessError, FolkloreIndex, FrasIndex
 from .grammar import Grammar, require_valid
@@ -173,17 +173,6 @@ def _grammar_from_text(data: bytes) -> Grammar:
     return Grammar(alphabet, tuple(rules))
 
 
-def write_grammar(g: Grammar, sink: BinaryIO, text: bool = False) -> None:
-    if text:
-        sink.write(grammar_to_text(g).encode("ascii"))
-    else:
-        sink.write(grammar_to_bytes(g))
-
-
-def read_grammar(source: BinaryIO) -> Grammar:
-    return grammar_from_bytes(source.read())
-
-
 # --- indexes --------------------------------------------------------------
 
 
@@ -215,11 +204,3 @@ def index_from_bytes(data: bytes) -> FolkloreIndex | FrasIndex:
         return FrasIndex(g, name.removeprefix("fras-"))
     except AccessError as exc:
         raise FormatError(f"{name} index: {exc.detail}") from exc
-
-
-def write_index(idx: FolkloreIndex | FrasIndex, sink: BinaryIO) -> None:
-    sink.write(index_to_bytes(idx))
-
-
-def read_index(source: BinaryIO) -> FolkloreIndex | FrasIndex:
-    return index_from_bytes(source.read())

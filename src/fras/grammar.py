@@ -129,39 +129,33 @@ def expansion_lengths(g: Grammar) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def sort_and_renumber(g: Grammar) -> tuple[Grammar, tuple[int, ...]]:
-    """Reorder rules by nondecreasing expansion length, start rule last.
+def sort_and_renumber(g: Grammar) -> Grammar:
+    """The grammar with its rules in nondecreasing expansion length, start rule last.
 
     Ties are broken by the original rule id (stable), which also keeps
     references backward: a rule can only tie with a rule it references
-    when its body is that single symbol.  Returns the rewritten grammar
-    and the permutation ``perm`` with ``perm[old_id - 1] == new_id``.
+    when its body is that single symbol.  Every reference is renumbered
+    to follow its rule.
     """
     lengths = expansion_lengths(g)
     m = len(g.rules)
     order = sorted(range(m - 1), key=lengths.__getitem__)
     order.append(m - 1)
-    sigma = len(g.alphabet)
-    rules, code = _renumbered(g.rules, order, sigma)
-    perm = tuple(c - sigma + 1 for c in code[sigma:])
-    return Grammar(g.alphabet, rules), perm
+    return Grammar(g.alphabet, _renumbered(g.rules, order, len(g.alphabet)))
 
 
 def _renumbered(
     bodies: Sequence[Sequence[int]], keep: list[int], sigma: int
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+) -> tuple[tuple[int, ...], ...]:
     """The bodies at ``keep`` (0-based indices into ``bodies``) in that order.
 
     ``bodies[keep[i]]`` becomes rule ``i + 1``, and every reference follows
-    it; the kept bodies may reference only kept rules.  Also returns the
-    list mapping each old symbol code to its new one: terminals map to
-    themselves, and the entries of rules not kept are meaningless.
+    it; the kept bodies may reference only kept rules.
     """
     code = list(range(sigma + len(bodies)))
     for new, old in enumerate(keep):
         code[sigma + old] = sigma + new
-    rules = tuple(tuple(map(code.__getitem__, bodies[old])) for old in keep)
-    return rules, code
+    return tuple(tuple(map(code.__getitem__, bodies[old])) for old in keep)
 
 
 def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int, bytes]:
@@ -330,7 +324,7 @@ def inline_single_use(g: Grammar) -> Grammar:
                 flat.append(c)
         flattened.append(flat)
     keep = [j - 1 for j in range(1, m + 1) if j not in single]
-    return Grammar(g.alphabet, _renumbered(flattened, keep, sigma)[0])
+    return Grammar(g.alphabet, _renumbered(flattened, keep, sigma))
 
 
 def stats(g: Grammar) -> GrammarStats:

@@ -11,13 +11,13 @@ Two engines implement the same replacement sequence, one after the other,
 at every input size.  The text starts in a numpy engine whose rounds each
 count every pair and replace the winner in one pass over the whole array.
 It keeps going while a round replaces at least ``_VECTOR_MIN_COUNT + (len
->> _VECTOR_MIN_GAIN_SHIFT)`` occurrences and every code pair has a bin in a
-``np.bincount`` of at most ``_BINCOUNT_MAX_BINS``, then hands the array to an
+>> _VECTOR_MIN_GAIN_SHIFT)`` occurrences, then hands the array to an
 incremental engine, a linked list whose rounds each replace the chosen
 pair with a fixed number of numpy passes over its occurrences, so their
 cost grows with those occurrences rather than with the length.  The
 hand-off point only affects speed, never the produced grammar.  Pair keys
-are int64, which holds them for texts below 3e9 bytes.
+are int64, which holds them for texts below 3e9 bytes; longer texts are
+rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .grammar import Grammar
 
-_BINCOUNT_MAX_BINS = 1 << 22
 # A whole-array round has to replace at least _VECTOR_MIN_COUNT + (len >>
 # _VECTOR_MIN_GAIN_SHIFT) occurrences; a round that replaces fewer costs
 # less as passes over its occurrences in the incremental engine.
@@ -41,6 +40,8 @@ def repair_compress(text: bytes) -> Grammar:
     """Build a binary-rule grammar whose start rule derives ``text``."""
     if not text:
         raise ValueError("empty text")
+    if len(text) >= 3 * 10**9:
+        raise ValueError(f"text too long: {len(text)} bytes, pair keys hold fewer than 3e9")
     raw = np.frombuffer(text, dtype=np.uint8)
     present = np.flatnonzero(np.bincount(raw, minlength=256))
     table = np.zeros(256, dtype=np.uint8)
@@ -62,14 +63,21 @@ def repair_compress(text: bytes) -> Grammar:
 def _vector_rounds(
     arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...]]
 ) -> tuple[np.ndarray, bool]:
-    """Replace pairs while a round pays for its pass and fits a bincount; True once none repeats."""
+    """Replace pairs while a round pays for its pass; True once none repeats.
+
+    Each round's ``np.bincount`` has one bin per code pair, and the codes
+    stay few.  A round that goes on replaces at least ``64 + len/128``
+    occurrences, each of which removes one symbol, so ``len + 8065`` shrinks
+    by at least 127/128 per round.  Since a round replaces at most half the
+    symbols, the worst case from the longest accepted text, 3e9 - 1 bytes,
+    stops after 1,633 rounds: at most 256 + 1,633 = 1,889 codes, or
+    3,568,321 bins (29 MB of counts).
+    """
     # One key buffer for every round: a fresh array each round costs
     # about as much in page faults as computing the keys.
     buf = np.empty(arr.size, dtype=np.int64)
     while True:
         ncodes = sigma + len(bodies)
-        if ncodes * ncodes > _BINCOUNT_MAX_BINS:
-            return arr, False
         best = _best_pair(arr, ncodes, buf)
         if best is None:
             return arr, True

@@ -58,7 +58,7 @@ class Corpus:
         self.grammar = repair_compress(text)
         self.fras_plain = build_fras(self.grammar, "plain")
         self.fras_sparse = build_fras(self.grammar, "sparse")
-        self.cnf, _ = sort_and_renumber(binarize_cnf(self.grammar))
+        self.cnf = sort_and_renumber(binarize_cnf(self.grammar))
         self.folklore = build_folklore(self.cnf)
 
 
@@ -252,7 +252,7 @@ def test_criterion_08_benchmark_protocol(tmp_path, capsys):
         sparse_sums = [r["checksum"] for r in csvs[0]]
         for build in (
             lambda: build_fras(g, "plain"),
-            lambda: build_folklore(sort_and_renumber(binarize_cnf(g))[0]),
+            lambda: build_folklore(sort_and_renumber(binarize_cnf(g))),
         ):
             report = run_benchmark(build(), iterations=10_000, seed=1234)
             assert [rec.checksum for rec in report.records] == sparse_sums
@@ -283,7 +283,7 @@ def test_criterion_10_serialization_round_trips():
         builders = (
             lambda g: build_fras(g, "sparse"),
             lambda g: build_fras(g, "plain"),
-            lambda g: build_folklore(sort_and_renumber(binarize_cnf(g))[0]),
+            lambda g: build_folklore(sort_and_renumber(binarize_cnf(g))),
         )
         for i in range(100):
             if i % 2:

@@ -228,7 +228,7 @@ class TestSortedDescentEquivalence:
         rng = random.Random(89)
         for _ in range(25):
             g = random_grammar(rng)
-            cnf, _ = sort_and_renumber(binarize_cnf(g))
+            cnf = sort_and_renumber(binarize_cnf(g))
             folk = build_folklore(cnf)
             fras = build_fras(cnf, "sparse")
             # sort_and_renumber is idempotent, so both indexes share ids
@@ -241,7 +241,7 @@ class TestSortedDescentEquivalence:
                 assert ftrace == mtrace
 
     def test_build_fras_idempotent_on_sorted(self, fig1):
-        gs, _ = sort_and_renumber(fig1)
+        gs = sort_and_renumber(fig1)
         idx = build_fras(gs, "plain")
         assert idx.grammar.rules == gs.rules
 
@@ -397,12 +397,17 @@ class TestExtractMemo:
             self.check_memo(idx)
 
     def test_memo_is_its_ceiling(self, fig1):
-        # The first extract longer than one byte builds the whole memo.
+        # The first extract longer than one byte builds the whole memo: every
+        # terminal and every non-start rule within the limit.
         g = repair_compress(repetitive_text(97, 24, 0.003, 1))
         for grammar in (fig1, g, inline_single_use(g), binarize_cnf(g)):
             for idx in self.indexes(grammar):
+                exps = naive_rule_expansions(idx.grammar)[:-1]
+                small = sum(len(e) for e in exps if len(e) <= _MEMO_RULE_LIMIT)
+                ceiling = 8 * (len(idx.grammar.alphabet) + small)
+                assert idx.extract_memo_max_bits() == ceiling
                 idx.extract(idx.n - 1, 2)
-                assert 8 * sum(map(len, idx._memo.values())) == idx.extract_memo_max_bits()
+                assert 8 * sum(map(len, idx._memo.values())) == ceiling
                 self.check_memo(idx)
 
     def test_load_and_access_create_no_memo(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from fras import expand, grammar_from_bytes, read_index
+from fras import expand, grammar_from_bytes, index_from_bytes
 from fras.cli import main
 from helpers import FIG1_GRAMMAR, FIG1_TEXT
 
@@ -81,14 +81,14 @@ class TestBuild:
 
 class TestIndexCommand:
     def test_fras_sparse_summary(self, capsys, tmp_path, fig1_grammar_file):
-        out_path = str(tmp_path / "fig1.fix")
+        out_path = tmp_path / "fig1.fix"
         code, out, _ = run(
             capsys,
             "index",
             "--grammar",
             fig1_grammar_file,
             "--output",
-            out_path,
+            str(out_path),
             "--structure",
             "fras",
             "--bitvector",
@@ -100,27 +100,25 @@ class TestIndexCommand:
         assert "b_bs=4" in out
         assert "depth=3" in out
         assert "fras_bound" in out
-        with open(out_path, "rb") as f:
-            idx = read_index(f)
+        idx = index_from_bytes(out_path.read_bytes())
         assert idx.kind == "fras-sparse"
 
     def test_folklore_binarizes_with_notice(self, capsys, tmp_path, fig1_grammar_file):
-        out_path = str(tmp_path / "fig1f.fix")
+        out_path = tmp_path / "fig1f.fix"
         code, out, err = run(
             capsys,
             "index",
             "--grammar",
             fig1_grammar_file,
             "--output",
-            out_path,
+            str(out_path),
             "--structure",
             "folklore",
         )
         assert code == 0
         assert "binarizing" in err
         assert "depth=6" in out
-        with open(out_path, "rb") as f:
-            idx = read_index(f)
+        idx = index_from_bytes(out_path.read_bytes())
         assert idx.kind == "folklore"
         assert idx.extract(1, 15) == FIG1_TEXT
 
@@ -157,8 +155,7 @@ class TestIndexCommand:
             assert code == 0
         answers = []
         for kind in ("plain", "sparse"):
-            with open(tmp_path / f"{kind}.fix", "rb") as f:
-                idx = read_index(f)
+            idx = index_from_bytes((tmp_path / f"{kind}.fix").read_bytes())
             answers.append(idx.extract(1, 15))
         assert answers[0] == answers[1] == FIG1_TEXT
 

@@ -91,14 +91,10 @@ class TestExpansionLengths:
 
 class TestSortAndRenumber:
     def test_fig1_already_sorted(self, fig1):
-        gs, perm = sort_and_renumber(fig1)
-        assert gs == fig1
-        assert perm == (1, 2, 3, 4)
+        assert sort_and_renumber(fig1) == fig1
 
     def test_single_rule(self):
-        gs, perm = sort_and_renumber(SINGLE_A)
-        assert gs == SINGLE_A
-        assert perm == (1,)
+        assert sort_and_renumber(SINGLE_A) == SINGLE_A
 
     def test_reversed_order(self):
         # Rules listed longest first get fully reversed.
@@ -108,8 +104,8 @@ class TestSortAndRenumber:
         )
         assert validate(g).ok
         assert expansion_lengths(g) == (6, 4, 2, 12)
-        gs, perm = sort_and_renumber(g)
-        assert perm == (3, 2, 1, 4)
+        gs = sort_and_renumber(g)
+        assert gs.rules == ((0, 1), (0, 1, 0, 1), (0, 1, 0, 1, 0, 1), (4, 3, 2))
         assert expand(gs) == expand(g)
         assert validate(gs).ok
 
@@ -117,14 +113,11 @@ class TestSortAndRenumber:
         rng = random.Random(11)
         for _ in range(200):
             g = random_grammar(rng)
-            gs, perm = sort_and_renumber(g)
+            gs = sort_and_renumber(g)
             assert validate(gs).ok
             assert expand(gs) == naive_expand(g)
             sorted_lengths = expansion_lengths(gs)
             assert list(sorted_lengths[:-1]) == sorted(sorted_lengths[:-1])
-            # permutation maps ids onto 1..m bijectively with start fixed
-            assert sorted(perm) == list(range(1, len(g.rules) + 1))
-            assert perm[-1] == len(g.rules)
 
 
 class TestExpand:
@@ -299,7 +292,7 @@ def test_transforms_preserve_expansion(data):
     g = repair_compress(data)
     assert validate(g).ok
     assert expand(g) == data
-    gs, _ = sort_and_renumber(g)
+    gs = sort_and_renumber(g)
     cnf = binarize_cnf(g)
     inl = inline_single_use(g)
     for out in (gs, cnf, inl):

@@ -44,6 +44,15 @@ class TestRepairGolden:
         with pytest.raises(ValueError, match="empty text"):
             repair_compress(b"")
 
+    def test_too_long_rejected(self):
+        # Pair keys are int64; the length is checked before any byte is read.
+        class Huge(bytes):
+            def __len__(self):
+                return 3 * 10**9
+
+        with pytest.raises(ValueError, match="text too long"):
+            repair_compress(Huge(b"ab"))
+
 
 class TestRepairProperties:
     def test_round_trip_and_shape(self):
@@ -107,19 +116,6 @@ class TestRepairProperties:
             got = repair_compress(t)
             monkeypatch.undo()
             assert got == expected
-
-    def test_bincount_budget_hands_off(self, monkeypatch, engines):
-        # A tiny bincount budget makes the numpy rounds hand off as soon as
-        # the code pairs outgrow it; the incremental engine finishes alike.
-        rng = random.Random(61)
-        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_COUNT", 0)
-        monkeypatch.setattr(repair_mod, "_VECTOR_MIN_GAIN_SHIFT", 62)
-        monkeypatch.setattr(repair_mod, "_BINCOUNT_MAX_BINS", 1)
-        for _ in range(30):
-            t = random_text(rng, rng.randint(2, 200), rng.randint(1, 4))
-            engines.clear()
-            assert repair_compress(t) == naive_repair(t)
-            assert engines == ["vector", "incremental"]
 
     @pytest.mark.parametrize("floor, gain_shift", [(2, 0), (5, 62)], ids=["2", "5"])
     def test_batch_rounds_match_naive(self, monkeypatch, engines, floor, gain_shift):
@@ -258,7 +254,7 @@ class TestFibonacciWord:
 
     def test_budget_overflow(self):
         with pytest.raises(ValueError, match="length overflow"):
-            fibonacci_word(40, max_len=1000)
+            fibonacci_word(48)
 
 
 class TestRepetitiveText:
