@@ -5,13 +5,18 @@ little-endian u32 fields: alphabet size, the alphabet bytes in ascending
 order, rule count, and per rule its body length followed by the body's
 symbol codes.  The start rule is the last rule.  A whitespace-separated
 decimal variant with first line ``FRAS1-TEXT`` (extension ``.fgt``) holds
-the same fields for debugging and hand-written inputs.
+the same fields for debugging and hand-written inputs.  Each of its tokens
+is ASCII decimal digits with a value below 2^32, and each alphabet entry is
+below 256; anything else is a ``FormatError``.  ``grammar_from_bytes``
+re-encodes such a text as the ``.fgz`` bytes of its fields and reads those,
+so there is one grammar reader.
 
 Index files (extension ``.fix``): magic ``FRIX2\\0``, a kind byte (0
 folklore, 1 FRAS with sparse bitvectors, 2 FRAS with plain ones) and the
-grammar section verbatim, nothing else.  An index is built from its
-grammar alone, so loading validates the grammar and calls the same
-constructor, ``FolkloreIndex`` or ``FrasIndex``, as
+grammar section verbatim, nothing else.  The loader checks both magics
+and the kind byte and reads the section with ``grammar_from_bytes``.  An
+index is built from its grammar alone, so loading validates the grammar
+and calls the same constructor, ``FolkloreIndex`` or ``FrasIndex``, as
 ``build_folklore``/``build_fras``, and no stored table can disagree with
 the grammar.  A FRAS grammar must already be sorted by expansion length
 and a folklore grammar must be in CNF, so re-serializing a loaded index
@@ -53,30 +58,6 @@ def _unpack(typecode: str, data: bytes) -> array:
     return a
 
 
-class _Cursor:
-    __slots__ = ("data", "off")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError("unexpected end of input")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
-
-    def done(self) -> bool:
-        return self.off == len(self.data)
-
-
 # --- grammars -------------------------------------------------------------
 
 
@@ -104,73 +85,54 @@ def grammar_to_text(g: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_grammar_section(cur: _Cursor) -> Grammar:
-    """Read the grammar at the cursor: the rules are sliced out of one list of the u32 words."""
-    sigma = cur.u32()
-    alphabet = tuple(cur.take(sigma))
-    m = cur.u32()
-    data = cur.data
-    nwords = (len(data) - cur.off) // 4
-    words = _unpack("I", memoryview(data)[cur.off : cur.off + 4 * nwords]).tolist()
-    rules = []
-    pos = 0
-    for _ in range(m):
-        if pos == nwords:
-            raise FormatError("unexpected end of input")
-        end = pos + 1 + words[pos]
-        if end > nwords:
-            raise FormatError("unexpected end of input")
-        rules.append(tuple(words[pos + 1 : end]))
-        pos = end
-    cur.off += 4 * pos
-    return Grammar(alphabet, tuple(rules))
+def _text_to_binary(data: bytes) -> bytes:
+    """The ``.fgz`` bytes of a ``.fgt`` text's fields, for the one grammar reader."""
+    try:
+        magic, *tokens = data.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise FormatError("malformed text grammar") from exc
+    if magic != TEXT_MAGIC:
+        raise FormatError("unrecognized format")
+    for tok in tokens:
+        if not tok.isdigit():
+            raise FormatError(f"malformed integer: {tok!r}")
+    try:
+        values = [int(tok) for tok in tokens]
+        sigma = values[0] if values else 0
+        alphabet = bytes(values[1 : 1 + sigma])
+        return GRAMMAR_MAGIC + _pack("I", values[:1]) + alphabet + _pack("I", values[1 + sigma :])
+    except (OverflowError, ValueError):
+        raise FormatError("integer out of range: fields are u32, alphabet entries bytes") from None
 
 
 def grammar_from_bytes(data: bytes) -> Grammar:
-    if data[: len(GRAMMAR_MAGIC)] == GRAMMAR_MAGIC:
-        cur = _Cursor(data)
-        cur.take(len(GRAMMAR_MAGIC))
-        g = _read_grammar_section(cur)
-        if not cur.done():
-            raise FormatError("trailing data after grammar")
-    elif data[: len(TEXT_MAGIC)] == TEXT_MAGIC.encode("ascii"):
-        g = _grammar_from_text(data)
-    else:
+    """Read a ``.fgz`` grammar, or a ``.fgt`` one re-encoded as ``.fgz``, and validate it.
+
+    The rules are sliced out of one list of the u32 words after the alphabet.
+    """
+    if data[: len(TEXT_MAGIC)] == TEXT_MAGIC.encode("ascii"):
+        data = _text_to_binary(data)
+    elif data[: len(GRAMMAR_MAGIC)] != GRAMMAR_MAGIC:
         raise FormatError("unrecognized format")
+    head = len(GRAMMAR_MAGIC) + 4
+    sigma = int.from_bytes(data[len(GRAMMAR_MAGIC) : head], "little")
+    start = head + sigma  # the rule count, then the rules
+    nwords = (len(data) - start) // 4
+    if len(data) < head or nwords < 1:
+        raise FormatError("unexpected end of input")
+    words = _unpack("I", data[start : start + 4 * nwords]).tolist()
+    rules = []
+    pos = 1
+    for _ in range(words[0]):
+        if pos == nwords or (end := pos + 1 + words[pos]) > nwords:
+            raise FormatError("unexpected end of input")
+        rules.append(tuple(words[pos + 1 : end]))
+        pos = end
+    if start + 4 * pos != len(data):
+        raise FormatError("trailing data after grammar")
+    g = Grammar(tuple(data[head:start]), tuple(rules))
     require_valid(g)
     return g
-
-
-def _grammar_from_text(data: bytes) -> Grammar:
-    try:
-        tokens = data.decode("ascii").split()
-    except UnicodeDecodeError as exc:
-        raise FormatError("malformed text grammar") from exc
-    if not tokens or tokens[0] != TEXT_MAGIC:
-        raise FormatError("unrecognized format")
-    it = iter(tokens[1:])
-
-    def next_int() -> int:
-        try:
-            tok = next(it)
-        except StopIteration:
-            raise FormatError("unexpected end of input") from None
-        try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(f"malformed integer: {tok!r}") from None
-
-    sigma = next_int()
-    alphabet = tuple(next_int() for _ in range(sigma))
-    m = next_int()
-    rules = []
-    for _ in range(m):
-        k = next_int()
-        rules.append(tuple(next_int() for _ in range(k)))
-    leftover = next(it, None)
-    if leftover is not None:
-        raise FormatError("trailing data after grammar")
-    return Grammar(alphabet, tuple(rules))
 
 
 # --- indexes --------------------------------------------------------------
@@ -183,20 +145,20 @@ def index_to_bytes(idx: FolkloreIndex | FrasIndex) -> bytes:
 
 
 def index_from_bytes(data: bytes) -> FolkloreIndex | FrasIndex:
-    """Read and validate the grammar, then call the index's constructor."""
+    """Check the header, read the grammar section as a ``.fgz``, then call the index's constructor."""
     if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("unrecognized format")
-    cur = _Cursor(data)
-    cur.take(len(INDEX_MAGIC))
-    kind = cur.u8()
+    head = len(INDEX_MAGIC) + 1
+    if len(data) < head:
+        raise FormatError("unexpected end of input")
+    kind = data[head - 1]
     if kind >= len(_INDEX_KINDS):
         raise FormatError(f"unknown index kind tag: {kind}")
-    if cur.take(len(GRAMMAR_MAGIC)) != GRAMMAR_MAGIC:
+    if len(data) < head + len(GRAMMAR_MAGIC):
+        raise FormatError("unexpected end of input")
+    if data[head : head + len(GRAMMAR_MAGIC)] != GRAMMAR_MAGIC:
         raise FormatError("embedded grammar section missing")
-    g = _read_grammar_section(cur)
-    if not cur.done():
-        raise FormatError("trailing data after index")
-    require_valid(g)
+    g = grammar_from_bytes(data[head:])
     name = _INDEX_KINDS[kind]
     try:
         if name == "folklore":

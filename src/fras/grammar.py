@@ -219,8 +219,11 @@ def expand_chunks(g: Grammar) -> Iterator[bytes]:
     table (rules bounded by a total budget) that the leaf walk copies from;
     everything else is walked with an explicit stack, so no derivation tree
     is materialized and memory stays bounded even for texts far larger than
-    the grammar.
+    the grammar.  The grammar is validated first: the walk takes any code
+    it has no table entry for as a rule, so an out-of-range one would send
+    it into an endless descent.
     """
+    require_valid(g)
     sigma = len(g.alphabet)
     rules = g.rules
     table = _small_expansions(g, _CACHE_RULE_LIMIT, _CACHE_TOTAL_LIMIT)

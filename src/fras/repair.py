@@ -47,8 +47,10 @@ def repair_compress(text: bytes) -> Grammar:
     table = np.zeros(256, dtype=np.uint8)
     table[present] = np.arange(present.size)
     codes = np.frombuffer(text.translate(table.tobytes()), dtype=np.uint8)
-    # Codes stay below 256 + len(text); int32 makes the array passes cheaper.
-    arr = codes.astype(np.int32 if len(text) < 1 << 31 else np.int64)
+    # Each rule replaces at least 2 occurrences, so there are at most
+    # (len - 1)/2 rules and codes stay below 256 + 1.5e9 < 2^31.  int32
+    # makes the array passes cheaper; pair keys are computed in int64.
+    arr = codes.astype(np.int32)
     alphabet = tuple(present.tolist())
     bodies: list[tuple[int, ...]] = []
     arr, exhausted = _vector_rounds(arr, len(alphabet), bodies)
@@ -147,6 +149,9 @@ def _replace_pair(arr: np.ndarray, a: int, b: int, new_sym: int) -> np.ndarray:
 def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...]]) -> list[int]:
     """Finish the replacement sequence over a doubly linked list.
 
+    ``arr`` holds at least 4 symbols: the whole-array rounds hand off only
+    on a pair that occurs twice without overlap.
+
     Every pair is keyed by the integer ``a * base + b``, so key order is
     ``(a, b)`` order.  A position's pair never returns to an earlier value,
     since each change brings in a fresh symbol; so all occurrences of a
@@ -169,8 +174,6 @@ def _incremental_rounds(arr: np.ndarray, sigma: int, bodies: list[tuple[int, ...
     live symbol, so a pair it takes part in is made once and never tracked.
     """
     n = arr.size
-    if n < 2:
-        return arr.tolist()
     ncodes = sigma + len(bodies)
     base = ncodes + n
     keys = _pair_keys(arr, base)

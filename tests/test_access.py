@@ -11,6 +11,7 @@ from fras import (
     Grammar,
     GrammarError,
     binarize_cnf,
+    build_bitvector,
     build_folklore,
     build_fras,
     expand,
@@ -134,6 +135,35 @@ class TestBounds:
             idx.extract(1, 0)
         with pytest.raises(AccessError):
             idx.extract(0, 3)
+
+
+class TestMalformedIndex:
+    # Tables assigned after construction can disagree with the grammar; the
+    # ValueError or IndexError this raises below a query is wrapped.
+    @staticmethod
+    def check_queries_fail(idx, p):
+        for query in (idx.access, lambda p: idx.extract(p, 3), idx.access_trace):
+            with pytest.raises(AccessError) as exc:
+                query(p)
+            assert exc.value.kind == "malformed-index"
+
+    @pytest.mark.parametrize("kind", ["plain", "sparse"])
+    def test_fras_start_marks_too_short(self, fig1, kind):
+        idx = build_fras(fig1, kind)
+        idx.start_marks = build_bitvector([1], 1, kind)
+        self.check_queries_fail(idx, 5)
+
+    def test_folklore_without_left_lengths(self, fig1):
+        idx = build_folklore(binarize_cnf(fig1))
+        idx.left_lengths = ()
+        self.check_queries_fail(idx, 5)
+
+    def test_access_trace_out_of_range(self, fig1):
+        for idx in (build_fras(fig1, "sparse"), build_folklore(binarize_cnf(fig1))):
+            for p in (0, 16):
+                with pytest.raises(AccessError) as exc:
+                    idx.access_trace(p)
+                assert exc.value.kind == "position-out-of-range"
 
 
 class TestCrossOracle:

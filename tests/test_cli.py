@@ -327,6 +327,15 @@ class TestBenchCommand:
             main(["bench", "--index", small_index_file, "--lengths", "ten"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("value", ["0", "1,-2"])
+    def test_lengths_below_one_are_usage_errors(self, capsys, small_index_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--index", small_index_file, "--lengths", value])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "substring lengths must be >= 1" in captured.err
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

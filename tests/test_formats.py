@@ -103,6 +103,38 @@ class TestGrammarErrors:
         with pytest.raises(FormatError, match="unexpected end of input"):
             grammar_from_bytes(b"FRAS1-TEXT\n1 97 2 1 0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"FRAS1-TEXT\n1 97 1 1 -1\n",
+            b"FRAS1-TEXT\n1 97 1 1 +0\n",
+            b"FRAS1-TEXT\n1 97 1 1 1_0\n",
+            "FRAS1-TEXT\n1 97 1 1 \u0660\n".encode("utf-8"),  # ARABIC-INDIC DIGIT ZERO
+            b"FRAS1-TEXT\n1 97 1 1 4294967296\n",
+            b"FRAS1-TEXT\n1 300 1 1 0\n",
+        ],
+        ids=["minus-one", "plus-zero", "underscore", "non-ascii-digit", "2-to-the-32", "alphabet-300"],
+    )
+    def test_text_outside_the_binary_domain(self, text):
+        # A .fgt token is an ASCII decimal below 2**32, an alphabet entry
+        # below 256: what the .fgz layout can hold.
+        with pytest.raises(FormatError):
+            grammar_from_bytes(text)
+
+    def test_text_junk_after_a_complete_grammar(self):
+        with pytest.raises(FormatError, match="malformed integer"):
+            grammar_from_bytes(b"FRAS1-TEXT\n1 97 1 1 0\nzz\n")
+        with pytest.raises(FormatError, match="trailing data after grammar"):
+            grammar_from_bytes(b"FRAS1-TEXT\n1 97 1 1 0\n7\n")
+
+    def test_text_magic_with_a_suffix(self):
+        with pytest.raises(FormatError, match="unrecognized format"):
+            grammar_from_bytes(b"FRAS1-TEXTX\n1 97 1 1 0\n")
+
+    def test_text_round_trip_of_alphabet_bytes_0_and_255(self):
+        g = Grammar((0, 255), ((1,), (0, 2)))
+        assert grammar_from_bytes(grammar_to_text(g).encode("ascii")) == g
+
 
 class TestGrammarSectionBounds:
     @staticmethod
@@ -229,6 +261,15 @@ class TestIndexErrors:
         data = index_to_bytes(build_folklore(binarize_cnf(fig1)))
         with pytest.raises(FormatError, match="trailing data"):
             index_from_bytes(data + b"\x00")
+
+    def test_text_grammar_section(self):
+        data = INDEX_MAGIC + bytes([1]) + grammar_to_text(SINGLE_A).encode("ascii")
+        with pytest.raises(FormatError, match="embedded grammar section missing"):
+            index_from_bytes(data)
+
+    def test_magic_alone(self):
+        with pytest.raises(FormatError, match="unexpected end of input"):
+            index_from_bytes(INDEX_MAGIC)
 
 
 # Rules "aba", "ab", then the start rule: valid, but not sorted by length.

@@ -130,6 +130,11 @@ class TestExpand:
     def test_chunks_concatenate(self, fig1, fig1_text):
         assert b"".join(expand_chunks(fig1)) == fig1_text
 
+    def test_invalid_grammar_is_rejected(self):
+        # The leaf walk would take the code -1 for a rule and descend forever.
+        with pytest.raises(GrammarError, match="invalid grammar: out-of-range symbol at rule 1"):
+            expand(Grammar((97,), ((-1,), (1,))))
+
     def test_repair_round_trip(self):
         rng = random.Random(3)
         for _ in range(40):

@@ -7,9 +7,13 @@ Run from the root of a checkout:
 
 Each of the benchmark's three texts, ``repetitive_text`` at seed 1, prints
 one JSON line: the SHA-256 of ``grammar_to_bytes`` of its RePair grammar,
-and per index kind the SHA-256 of the ``.fix`` bytes, the ``run_benchmark``
-checksums of 1,000 extracts each of lengths 1 and 1000 at seed 7 and
-``extract_memo_max_bits``.  Two checkouts that print the same lines build
+whether ``grammar_from_bytes`` gives the grammar back from those bytes and
+from ``grammar_to_text``, and per index kind the SHA-256 of the ``.fix``
+bytes, the ``run_benchmark`` checksums of 1,000 extracts each of lengths 1
+and 1000 at seed 7 and ``extract_memo_max_bits``.  Each ``.fix`` is also
+loaded with ``index_from_bytes``: the line says whether ``index_to_bytes``
+of the loaded index gives the same bytes, and holds the loaded index's
+checksums.  Two checkouts that print the same lines build, write and read
 the same grammars and indexes and answer the same queries.  ``--src``
 points at the ``src`` directory of the checkout to fingerprint, which is
 this checkout's by default.
@@ -39,7 +43,10 @@ def fingerprint(name: str) -> dict:
         binarize_cnf,
         build_folklore,
         build_fras,
+        grammar_from_bytes,
         grammar_to_bytes,
+        grammar_to_text,
+        index_from_bytes,
         index_to_bytes,
         repair_compress,
         repetitive_text,
@@ -49,17 +56,28 @@ def fingerprint(name: str) -> dict:
     text = repetitive_text(*TEXTS[name])
     g = repair_compress(text)
     indexes = (build_folklore(binarize_cnf(g)), build_fras(g, "sparse"), build_fras(g, "plain"))
+    fgz = grammar_to_bytes(g)
     out = {
         "text": name,
         "bytes": len(text),
-        "grammar_sha256": hashlib.sha256(grammar_to_bytes(g)).hexdigest(),
+        "grammar_sha256": hashlib.sha256(fgz).hexdigest(),
+        "fgz_round_trip": grammar_from_bytes(fgz) == g,
+        "fgt_round_trip": grammar_from_bytes(grammar_to_text(g).encode("ascii")) == g,
     }
-    for idx in indexes:
+
+    def checksums(idx):
         report = run_benchmark(idx, lengths=(1, 1000), iterations=1000, seed=7)
+        return [rec.checksum for rec in report.records]
+
+    for idx in indexes:
+        fix = index_to_bytes(idx)
+        loaded = index_from_bytes(fix)
         out[idx.kind] = {
-            "fix_sha256": hashlib.sha256(index_to_bytes(idx)).hexdigest(),
-            "checksums": [rec.checksum for rec in report.records],
+            "fix_sha256": hashlib.sha256(fix).hexdigest(),
+            "checksums": checksums(idx),
             "extract_memo_max_bits": idx.extract_memo_max_bits(),
+            "reload_same_bytes": index_to_bytes(loaded) == fix,
+            "reload_checksums": checksums(loaded),
         }
     return out
 
