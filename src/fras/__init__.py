@@ -22,8 +22,6 @@ from .grammar import (
     Grammar,
     GrammarError,
     GrammarStats,
-    ValidationReport,
-    Violation,
     binarize_cnf,
     expand,
     expand_chunks,
@@ -51,8 +49,6 @@ __all__ = [
     "PlainBitvector",
     "Prng",
     "SparseBitvector",
-    "ValidationReport",
-    "Violation",
     "binarize_cnf",
     "build_bitvector",
     "build_folklore",

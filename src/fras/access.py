@@ -9,8 +9,8 @@ a position is found with one rank/select pair over a text-length vector.
 
 An index is built from its grammar alone: each constructor derives every
 table the index holds, so ``build_folklore``/``build_fras`` and loading a
-``.fix`` file run the same construction.  The constructors take a valid
-grammar; the builders and the loader validate it first.
+``.fix`` file run the same construction.  Each constructor checks its
+grammar (``grammar.require_valid``, run at most once per grammar object).
 
 Each index has exactly one descent, its ``_locate``, which returns the
 leaf's terminal code and the stack of rules passed on the way down.
@@ -140,13 +140,14 @@ class _Index:
 class FolkloreIndex(_Index):
     """CNF grammar plus the expansion length of every rule's left child.
 
-    The grammar must be valid.  One bottom-up pass derives the table and
-    checks that the grammar is in CNF.
+    One bottom-up pass derives the table and checks that the grammar is in
+    CNF.
     """
 
     kind = "folklore"
 
     def __init__(self, grammar: Grammar):
+        require_valid(grammar)
         sigma = len(grammar.alphabet)
         lengths = [1] * sigma  # expansion length by symbol code
         lefts: list[int] = []
@@ -190,7 +191,7 @@ class FolkloreIndex(_Index):
 class FrasIndex(_Index):
     """Sorted grammar, distinct-length array and the two query bitvectors.
 
-    The grammar must be valid, with its rules sorted by expansion length as
+    The grammar's rules must be sorted by expansion length, as
     ``sort_and_renumber`` leaves them.  The per-rule length table is only
     materialized here; queries recover lengths through rank on the rule
     marks plus the distinct-length array.
@@ -258,12 +259,10 @@ class FrasIndex(_Index):
 
 
 def build_folklore(g: Grammar) -> FolkloreIndex:
-    """Validate a CNF grammar and build its folklore index."""
-    require_valid(g)
+    """Build a CNF grammar's folklore index."""
     return FolkloreIndex(g)
 
 
 def build_fras(g: Grammar, bitvector_kind: str = "sparse") -> FrasIndex:
-    """Validate a grammar, sort its rules by expansion length and build its FRAS index."""
-    require_valid(g)
+    """Sort a grammar's rules by expansion length and build its FRAS index."""
     return FrasIndex(sort_and_renumber(g), bitvector_kind)

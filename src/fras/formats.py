@@ -15,12 +15,13 @@ Index files (extension ``.fix``): magic ``FRIX2\\0``, a kind byte (0
 folklore, 1 FRAS with sparse bitvectors, 2 FRAS with plain ones) and the
 grammar section verbatim, nothing else.  The loader checks both magics
 and the kind byte and reads the section with ``grammar_from_bytes``.  An
-index is built from its grammar alone, so loading validates the grammar
-and calls the same constructor, ``FolkloreIndex`` or ``FrasIndex``, as
+index is built from its grammar alone, so loading calls the same
+constructor, ``FolkloreIndex`` or ``FrasIndex``, as
 ``build_folklore``/``build_fras``, and no stored table can disagree with
-the grammar.  A FRAS grammar must already be sorted by expansion length
-and a folklore grammar must be in CNF, so re-serializing a loaded index
-is byte-identical.
+the grammar.  ``grammar_from_bytes`` checks the grammar; the constructor
+and ``index_to_bytes`` reuse its cached result.  A FRAS grammar must
+already be sorted by expansion length and a folklore grammar must be in
+CNF, so re-serializing a loaded index is byte-identical.
 """
 
 from __future__ import annotations

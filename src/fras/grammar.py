@@ -11,6 +11,7 @@ the full text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 # Expansion lengths are stored as 64-bit unsigned quantities.
@@ -26,21 +27,6 @@ _FLUSH_CHUNK = 1 << 16
 
 class GrammarError(ValueError):
     """Raised for structurally invalid grammars or overflowing lengths."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    rule_id: int
-
-    def __str__(self) -> str:
-        return f"{self.kind} at rule {self.rule_id}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -63,70 +49,73 @@ class GrammarStats:
 class Grammar:
     """An admissible grammar: sorted byte alphabet plus rule bodies.
 
-    Immutable; safe to share between threads after construction.
+    Immutable; safe to share between threads after construction.  Every
+    public reader of a grammar calls ``require_valid``, whose check is cached.
     """
 
     alphabet: tuple[int, ...]
     rules: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        # Stored in the instance __dict__, past the frozen __setattr__; the
+        # fields never change, so neither does the result.
+        return _check(self)
 
-def validate(g: Grammar) -> ValidationReport:
-    """Check every structural invariant; returns a report, never raises."""
-    violations: list[Violation] = []
-    seen: set[tuple[str, int]] = set()
 
-    def add(kind: str, rule_id: int) -> None:
-        if (kind, rule_id) not in seen:
-            seen.add((kind, rule_id))
-            violations.append(Violation(kind, rule_id))
-
+def _check(g: Grammar) -> tuple[str, ...]:
+    """Every broken structural invariant as ``"<kind> at rule <j>"``."""
+    found: dict[tuple[str, int], None] = {}  # in first-found order, each once
     sigma = len(g.alphabet)
     if list(g.alphabet) != sorted(set(g.alphabet)) or any(
         not 0 <= b <= 255 for b in g.alphabet
     ):
-        add("bad alphabet", 0)
+        found["bad alphabet", 0] = None
     m = len(g.rules)
     if m == 0:
-        add("no rules", 0)
+        found["no rules", 0] = None
     used = [False] * (m + 1)
     for j, body in enumerate(g.rules, start=1):
         if not body:
-            add("empty body", j)
+            found["empty body", j] = None
         for c in body:
             if c < 0 or c >= sigma + m:
-                add("out-of-range symbol", j)
+                found["out-of-range symbol", j] = None
             elif c >= sigma:
                 rid = c - sigma + 1
                 if rid >= j:
-                    add("forward reference", j)
+                    found["forward reference", j] = None
                 else:
                     used[rid] = True
     for j in range(1, m):
         if not used[j]:
-            add("unused rule", j)
-    return ValidationReport(not violations, tuple(violations))
+            found["unused rule", j] = None
+    return tuple(f"{kind} at rule {j}" for kind, j in found)
+
+
+def validate(g: Grammar) -> tuple[str, ...]:
+    """Each violation as ``"<kind> at rule <j>"``, empty for a valid grammar; never raises."""
+    return g._violations
 
 
 def require_valid(g: Grammar) -> None:
-    report = validate(g)
-    if not report.ok:
-        raise GrammarError(
-            "invalid grammar: " + "; ".join(str(v) for v in report.violations)
-        )
+    if g._violations:
+        raise GrammarError("invalid grammar: " + "; ".join(g._violations))
 
 
 def expansion_lengths(g: Grammar) -> tuple[int, ...]:
     """Per-rule expansion lengths in characters, one bottom-up pass."""
+    require_valid(g)
     sigma = len(g.alphabet)
-    lengths: list[int] = []
+    lengths = [1] * sigma  # by symbol code
     for body in g.rules:
         total = 0
         for c in body:
-            total += 1 if c < sigma else lengths[c - sigma]
+            total += lengths[c]
         if total > MAX_TEXT_LENGTH:
             raise GrammarError("length overflow")
         lengths.append(total)
-    return tuple(lengths)
+    return tuple(lengths[sigma:])
 
 
 def sort_and_renumber(g: Grammar) -> Grammar:
@@ -135,13 +124,16 @@ def sort_and_renumber(g: Grammar) -> Grammar:
     Ties are broken by the original rule id (stable), which also keeps
     references backward: a rule can only tie with a rule it references
     when its body is that single symbol.  Every reference is renumbered
-    to follow its rule.
+    to follow its rule.  A permutation leaves every rule used, so the
+    output is valid and carries over the input's (empty) check result.
     """
     lengths = expansion_lengths(g)
     m = len(g.rules)
     order = sorted(range(m - 1), key=lengths.__getitem__)
     order.append(m - 1)
-    return Grammar(g.alphabet, _renumbered(g.rules, order, len(g.alphabet)))
+    out = Grammar(g.alphabet, _renumbered(g.rules, order, len(g.alphabet)))
+    vars(out)["_violations"] = g._violations
+    return out
 
 
 def _renumbered(
@@ -165,25 +157,25 @@ def _small_expansions(g: Grammar, rule_limit: int, total_limit: int) -> dict[int
     alphabet byte, outside both limits, since the leaf walk copies every
     leaf from the table.  Rules are taken in id order, each if its length
     still fits in what is left of ``total_limit`` bytes; a rule whose body
-    references a rule left out is left out too.
+    references a rule left out is left out too.  A body is given up once its
+    bytes pass what it may take, so no lengths pass is needed.
     """
     sigma = len(g.alphabet)
-    lengths = expansion_lengths(g)
     table = {c: bytes((b,)) for c, b in enumerate(g.alphabet)}
     budget = total_limit
     for j, body in enumerate(g.rules[:-1]):
-        n_j = lengths[j]
-        if n_j > rule_limit or n_j > budget:
-            continue
+        limit = min(rule_limit, budget)
         buf = bytearray()
         for c in body:
             piece = table.get(c)
             if piece is None:
                 break
             buf += piece
+            if len(buf) > limit:
+                break
         else:
             table[sigma + j] = bytes(buf)
-            budget -= n_j
+            budget -= len(buf)
     return table
 
 
@@ -243,6 +235,7 @@ def expand(g: Grammar) -> bytes:
 
 def is_cnf(g: Grammar) -> bool:
     """True iff every body is a lone terminal or a pair of non-terminals."""
+    require_valid(g)
     sigma = len(g.alphabet)
     for body in g.rules:
         if len(body) == 1 and body[0] < sigma:
@@ -264,9 +257,10 @@ def binarize_cnf(g: Grammar) -> Grammar:
     adds ``ceil(log2 k)`` levels, and on RePair output (binary rules
     plus a start rule S) the CNF depth is ``stats(g).depth + ceil(log2
     |S|)``.  Unary bodies alias the referenced rule, the start rule's
-    included.  The input must be valid: then every node is reachable from
-    the start rule's, which is made last, so the output validates too.
+    included.  Every node is reachable from the start rule's, which is
+    made last, so the output validates too.
     """
+    require_valid(g)
     sigma = len(g.alphabet)
     out: list[tuple[int, ...]] = []
     proxy: dict[int, int] = {}
@@ -304,8 +298,9 @@ def inline_single_use(g: Grammar) -> Grammar:
     Useful for turning binary-rule compressor output into general grammars
     with long bodies; expansion is preserved.  One pass suffices: inlining
     a rule moves its references into its one parent, so no other rule's
-    reference count changes.  The input must be valid.
+    reference count changes.
     """
+    require_valid(g)
     sigma = len(g.alphabet)
     m = len(g.rules)
     refs = [0] * (m + 1)
@@ -332,16 +327,21 @@ def inline_single_use(g: Grammar) -> Grammar:
 
 def stats(g: Grammar) -> GrammarStats:
     """Rule/size counts (start rule excluded) and derivation-tree depth."""
+    require_valid(g)
     sigma = len(g.alphabet)
-    heights: list[int] = []
+    heights = [0] * sigma  # by symbol code
+    lengths = [1] * sigma
     for body in g.rules:
-        h = 0
+        h = n = 0
         for c in body:
-            ch = 1 if c < sigma else heights[c - sigma] + 1
-            if ch > h:
-                h = ch
-        heights.append(h)
-    lengths = expansion_lengths(g)
+            n += lengths[c]
+            if heights[c] > h:
+                h = heights[c]
+        heights.append(h + 1)
+        lengths.append(n)
+    # Every rule is used, so the start rule's expansion is the longest.
+    if lengths[-1] > MAX_TEXT_LENGTH:
+        raise GrammarError("length overflow")
     return GrammarStats(
         rules=len(g.rules) - 1,
         depth=heights[-1],

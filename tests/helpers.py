@@ -3,12 +3,13 @@
 Everything here is intentionally independent of the library's own code
 paths: expansion is done by full per-rule string materialization, rank
 and select by scanning position lists, and the pair-replacement reference
-is the plain sequential algorithm.
+is the plain sequential algorithm.  ``fresh_violations`` is the exception:
+it runs the library's own ``validate``, on a copy that has no cached result.
 """
 
 import random
 
-from fras import Grammar
+from fras import Grammar, validate
 
 FIG1_GRAMMAR = Grammar(
     alphabet=(ord("a"), ord("c"), ord("g")),
@@ -33,6 +34,11 @@ def naive_rule_expansions(g: Grammar) -> list[bytes]:
 
 def naive_expand(g: Grammar) -> bytes:
     return naive_rule_expansions(g)[-1]
+
+
+def fresh_violations(g: Grammar) -> tuple[str, ...]:
+    """``validate`` of a new object with g's fields, so no result cached on g is reused."""
+    return validate(Grammar(g.alphabet, g.rules))
 
 
 def naive_rank(positions, i):

@@ -21,11 +21,10 @@ from fras import (
     inline_single_use,
     repair_compress,
     sort_and_renumber,
-    validate,
 )
 from fras.access import _MEMO_RULE_LIMIT
 from fras.corpus import repetitive_text
-from helpers import naive_expand, naive_rule_expansions, random_grammar, random_text
+from helpers import fresh_violations, naive_expand, naive_rule_expansions, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
 
@@ -356,7 +355,7 @@ class TestFrasInvariants:
             ul = idx.unique_lengths
             assert all(a < b for a, b in zip(ul, ul[1:]))
             assert ul[-1] == idx.n
-            assert validate(idx.grammar).ok
+            assert fresh_violations(idx.grammar) == ()
 
 
 class TestExtractMemo:

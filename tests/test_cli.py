@@ -1,6 +1,19 @@
+from collections import Counter
+
 import pytest
 
-from fras import expand, grammar_from_bytes, index_from_bytes
+import fras.access
+import fras.grammar
+from fras import (
+    build_fras,
+    expand,
+    grammar_from_bytes,
+    grammar_to_bytes,
+    index_from_bytes,
+    index_to_bytes,
+    repair_compress,
+    repetitive_text,
+)
 from fras.cli import main
 from helpers import FIG1_GRAMMAR, FIG1_TEXT
 
@@ -335,6 +348,62 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "substring lengths must be >= 1" in captured.err
+
+
+class TestPassCounts:
+    """Each grammar object is checked once, and a FRAS build runs two lengths passes."""
+
+    TEXT = repetitive_text(97, 16, 0.01, 2)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(g):
+                counts[name] += 1
+                return fn(g)
+
+            return wrapper
+
+        monkeypatch.setattr(fras.grammar, "_check", counted("check", fras.grammar._check))
+        lengths = counted("lengths", fras.grammar.expansion_lengths)
+        monkeypatch.setattr(fras.grammar, "expansion_lengths", lengths)
+        monkeypatch.setattr(fras.access, "expansion_lengths", lengths)
+        return counts
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        text_path = tmp_path / "t.txt"
+        text_path.write_bytes(self.TEXT)
+        grammar_path = tmp_path / "t.fgz"
+        grammar_path.write_bytes(grammar_to_bytes(repair_compress(self.TEXT)))
+        return str(text_path), str(grammar_path)
+
+    def test_index_command(self, capsys, tmp_path, files, passes):
+        passes.clear()
+        code, _, _ = run(capsys, "index", "--grammar", files[1], "--output", str(tmp_path / "t.fix"))
+        assert code == 0
+        assert passes["check"] == 1
+        assert passes["lengths"] <= 2
+
+    def test_verify_command(self, capsys, files, passes):
+        passes.clear()
+        code, out, _ = run(capsys, "verify", "--grammar", files[1], "--text", files[0])
+        assert code == 0 and "texts match" in out
+        assert passes["check"] == 1
+
+    def test_build_and_write(self, passes):
+        g = repair_compress(self.TEXT)
+        passes.clear()
+        index_to_bytes(build_fras(g))
+        assert passes["check"] == 1
+
+    def test_load_and_write(self, passes):
+        fix = index_to_bytes(build_fras(repair_compress(self.TEXT)))
+        passes.clear()
+        assert index_to_bytes(index_from_bytes(fix)) == fix
+        assert passes["check"] == 1
 
 
 class TestUsage:

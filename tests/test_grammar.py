@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import fras.grammar
 from fras import (
+    FolkloreIndex,
+    FrasIndex,
     Grammar,
     GrammarError,
     binarize_cnf,
@@ -23,48 +25,72 @@ from fras import (
     stats,
     validate,
 )
-from helpers import naive_expand, naive_rule_expansions, random_grammar, random_text
+from helpers import fresh_violations, naive_expand, naive_rule_expansions, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
+MAX_TEXT_LENGTH = fras.grammar.MAX_TEXT_LENGTH
 
 
 class TestValidate:
     def test_fig1_ok(self, fig1):
-        assert validate(fig1).ok
+        assert validate(fig1) == ()
 
     def test_minimal_ok(self):
-        assert validate(SINGLE_A).ok
+        assert validate(SINGLE_A) == ()
 
     def test_forward_reference(self):
         g = Grammar(alphabet=(97,), rules=((2,), (0, 2)))
-        report = validate(g)
-        assert not report.ok
-        assert any(
-            v.kind == "forward reference" and v.rule_id == 1 for v in report.violations
-        )
-        assert "forward reference at rule 1" in [str(v) for v in report.violations]
+        assert "forward reference at rule 1" in validate(g)
 
     def test_empty_body(self):
         g = Grammar(alphabet=(97,), rules=((0,), ()))
-        report = validate(g)
-        assert any(v.kind == "empty body" and v.rule_id == 2 for v in report.violations)
+        assert "empty body at rule 2" in validate(g)
 
     def test_unused_rule(self):
         g = Grammar(alphabet=(97,), rules=((0,), (0, 0)))
-        report = validate(g)
-        assert any(v.kind == "unused rule" and v.rule_id == 1 for v in report.violations)
+        assert "unused rule at rule 1" in validate(g)
 
     def test_out_of_range_symbol(self):
         g = Grammar(alphabet=(97,), rules=((0, 9),))
-        report = validate(g)
-        assert any(v.kind == "out-of-range symbol" for v in report.violations)
+        assert "out-of-range symbol at rule 1" in validate(g)
 
     def test_no_rules(self):
-        assert not validate(Grammar(alphabet=(97,), rules=())).ok
+        assert validate(Grammar(alphabet=(97,), rules=())) == ("no rules at rule 0",)
 
     def test_bad_alphabet(self):
         g = Grammar(alphabet=(99, 97), rules=((0, 1),))
-        assert any(v.kind == "bad alphabet" for v in validate(g).violations)
+        assert "bad alphabet at rule 0" in validate(g)
+
+
+class TestInvalidGrammarRejected:
+    """Every public reader of a grammar raises validate's message on a broken one."""
+
+    READERS = {
+        "expansion_lengths": expansion_lengths,
+        "sort_and_renumber": sort_and_renumber,
+        "stats": stats,
+        "binarize_cnf": binarize_cnf,
+        "inline_single_use": inline_single_use,
+        "is_cnf": is_cnf,
+        "FrasIndex-sparse": lambda g: FrasIndex(g, "sparse"),
+        "FrasIndex-plain": lambda g: FrasIndex(g, "plain"),
+        "FolkloreIndex": FolkloreIndex,
+    }
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (Grammar((97,), ((0, 0), (-2, 0))), "out-of-range symbol at rule 2; unused rule at rule 1"),
+            (Grammar((97, 98), ((3, 0), (1, 0), (2, 3))), "forward reference at rule 1"),
+        ],
+        ids=["out-of-range", "forward-reference"],
+    )
+    @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+    def test_raises_grammar_error(self, reader, g, message):
+        assert "; ".join(validate(g)) == message
+        with pytest.raises(GrammarError) as exc:
+            reader(g)
+        assert str(exc.value) == "invalid grammar: " + message
 
 
 class TestExpansionLengths:
@@ -102,19 +128,19 @@ class TestSortAndRenumber:
             alphabet=(97, 98),
             rules=((0, 1, 0, 1, 0, 1), (0, 1, 0, 1), (0, 1), (2, 3, 4)),
         )
-        assert validate(g).ok
+        assert validate(g) == ()
         assert expansion_lengths(g) == (6, 4, 2, 12)
         gs = sort_and_renumber(g)
         assert gs.rules == ((0, 1), (0, 1, 0, 1), (0, 1, 0, 1, 0, 1), (4, 3, 2))
         assert expand(gs) == expand(g)
-        assert validate(gs).ok
+        assert fresh_violations(gs) == ()
 
     def test_random_expansion_preserved(self):
         rng = random.Random(11)
         for _ in range(200):
             g = random_grammar(rng)
             gs = sort_and_renumber(g)
-            assert validate(gs).ok
+            assert fresh_violations(gs) == ()
             assert expand(gs) == naive_expand(g)
             sorted_lengths = expansion_lengths(gs)
             assert list(sorted_lengths[:-1]) == sorted(sorted_lengths[:-1])
@@ -167,11 +193,53 @@ class TestExpand:
             assert all(flush <= len(c) < flush + rule_limit for c in chunks[:-1])
 
 
+class TestSmallExpansions:
+    @staticmethod
+    def reference(g, rule_limit, total_limit):
+        # Rules in id order, each kept if its expansion fits both limits and
+        # every rule its body references was kept.
+        sigma = len(g.alphabet)
+        exps = naive_rule_expansions(g)
+        table = {c: bytes((b,)) for c, b in enumerate(g.alphabet)}
+        budget = total_limit
+        for j, body in enumerate(g.rules[:-1]):
+            if len(exps[j]) <= min(rule_limit, budget) and all(c in table for c in body):
+                table[sigma + j] = exps[j]
+                budget -= len(exps[j])
+        return table
+
+    @pytest.mark.parametrize(
+        "rule_limit, total_limit, budget_runs_out",
+        [
+            (0, 0, False),
+            (1, 1, True),
+            (3, 10, True),
+            (7, 40, True),
+            (16, 60, True),
+            (128, MAX_TEXT_LENGTH, False),
+            (1 << 16, 1 << 26, False),
+        ],
+    )
+    def test_matches_reference(self, rule_limit, total_limit, budget_runs_out):
+        rng = random.Random(31)
+        grammars = [random_grammar(rng) for _ in range(150)]
+        for seed in range(3):
+            g = repair_compress(repetitive_text(97, 8, 0.01, seed))
+            grammars += [g, inline_single_use(g)]
+        ran_out = False
+        for g in grammars:
+            want = self.reference(g, rule_limit, total_limit)
+            got = fras.grammar._small_expansions(g, rule_limit, total_limit)
+            assert list(got.items()) == list(want.items())
+            ran_out |= want != self.reference(g, rule_limit, MAX_TEXT_LENGTH)
+        assert ran_out == budget_runs_out
+
+
 class TestBinarize:
     def test_fig1(self, fig1, fig1_text):
         cnf = binarize_cnf(fig1)
         assert is_cnf(cnf)
-        assert validate(cnf).ok
+        assert fresh_violations(cnf) == ()
         assert expand(cnf) == fig1_text
 
     def test_terminal_only_start(self):
@@ -196,7 +264,7 @@ class TestBinarize:
         # aliases its target, which is left last.
         g = Grammar(alphabet=(97, 98), rules=((0, 1), (2, 2), (3,)))
         cnf = binarize_cnf(g)
-        assert validate(cnf).ok and is_cnf(cnf)
+        assert fresh_violations(cnf) == () and is_cnf(cnf)
         assert expand(cnf) == b"abab"
         assert cnf.rules == ((0,), (1,), (2, 3), (4, 4))
         chain = Grammar(alphabet=(97, 98), rules=((0, 1, 0), (2,), (3, 1, 3), (4,)))
@@ -207,7 +275,7 @@ class TestBinarize:
         for _ in range(200):
             g = random_grammar(rng)
             cnf = binarize_cnf(g)
-            assert validate(cnf).ok
+            assert fresh_violations(cnf) == ()
             assert is_cnf(cnf)
             assert expand(cnf) == naive_expand(g)
 
@@ -260,7 +328,7 @@ class TestInlineSingleUse:
         grammars += [random_grammar(rng) for _ in range(20)]
         for g in grammars:
             out = inline_single_use(g)
-            assert validate(out).ok
+            assert fresh_violations(out) == ()
             assert expand(out) == naive_expand(g)
             # One pass leaves no non-start rule referenced exactly once.
             sigma = len(out.alphabet)
@@ -295,11 +363,11 @@ class TestStats:
 @given(st.binary(min_size=1, max_size=120))
 def test_transforms_preserve_expansion(data):
     g = repair_compress(data)
-    assert validate(g).ok
+    assert fresh_violations(g) == ()
     assert expand(g) == data
     gs = sort_and_renumber(g)
     cnf = binarize_cnf(g)
     inl = inline_single_use(g)
     for out in (gs, cnf, inl):
-        assert validate(out).ok
+        assert fresh_violations(out) == ()
         assert expand(out) == data
