@@ -11,7 +11,6 @@ the full text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 # Expansion lengths are stored as 64-bit unsigned quantities.
@@ -55,12 +54,7 @@ class Grammar:
 
     alphabet: tuple[int, ...]
     rules: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        # Stored in the instance __dict__, past the frozen __setattr__; the
-        # fields never change, so neither does the result.
-        return _check(self)
+    _violations = None  # not a field: validate's cached result, once computed
 
 
 def _check(g: Grammar) -> tuple[str, ...]:
@@ -95,12 +89,20 @@ def _check(g: Grammar) -> tuple[str, ...]:
 
 def validate(g: Grammar) -> tuple[str, ...]:
     """Each violation as ``"<kind> at rule <j>"``, empty for a valid grammar; never raises."""
-    return g._violations
+    found = g._violations
+    if found is None:
+        found = _check(g)
+        # Past the frozen __setattr__, since the fields never change.  Not
+        # through __dict__: on CPython 3.11 a materialized instance dict
+        # makes every later attribute read of the grammar ~3x slower.
+        object.__setattr__(g, "_violations", found)
+    return found
 
 
 def require_valid(g: Grammar) -> None:
-    if g._violations:
-        raise GrammarError("invalid grammar: " + "; ".join(g._violations))
+    found = validate(g)
+    if found:
+        raise GrammarError("invalid grammar: " + "; ".join(found))
 
 
 def expansion_lengths(g: Grammar) -> tuple[int, ...]:
@@ -132,7 +134,7 @@ def sort_and_renumber(g: Grammar) -> Grammar:
     order = sorted(range(m - 1), key=lengths.__getitem__)
     order.append(m - 1)
     out = Grammar(g.alphabet, _renumbered(g.rules, order, len(g.alphabet)))
-    vars(out)["_violations"] = g._violations
+    object.__setattr__(out, "_violations", g._violations)
     return out
 
 
