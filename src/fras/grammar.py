@@ -213,11 +213,11 @@ def expand_chunks(g: Grammar) -> Iterator[bytes]:
     table (rules bounded by a total budget) that the leaf walk copies from;
     everything else is walked with an explicit stack, so no derivation tree
     is materialized and memory stays bounded even for texts far larger than
-    the grammar.  The grammar is validated first: the walk takes any code
-    it has no table entry for as a rule, so an out-of-range one would send
-    it into an endless descent.
+    the grammar.  Validity and the length bound are checked first: the walk
+    takes any code with no table entry for a rule, so an out-of-range one
+    would send it into an endless descent, and an overlong text would stream on.
     """
-    require_valid(g)
+    expansion_lengths(g)
     sigma = len(g.alphabet)
     rules = g.rules
     table = _small_expansions(g, _CACHE_RULE_LIMIT, _CACHE_TOTAL_LIMIT)
@@ -339,11 +339,10 @@ def stats(g: Grammar) -> GrammarStats:
             n += lengths[c]
             if heights[c] > h:
                 h = heights[c]
+        if n > MAX_TEXT_LENGTH:
+            raise GrammarError("length overflow")
         heights.append(h + 1)
         lengths.append(n)
-    # Every rule is used, so the start rule's expansion is the longest.
-    if lengths[-1] > MAX_TEXT_LENGTH:
-        raise GrammarError("length overflow")
     return GrammarStats(
         rules=len(g.rules) - 1,
         depth=heights[-1],

@@ -5,6 +5,7 @@ import pytest
 import fras.access
 import fras.grammar
 from fras import (
+    Grammar,
     build_fras,
     expand,
     grammar_from_bytes,
@@ -226,6 +227,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--grammar", grammar_path, "--text", str(corrupted))
         assert code == 2
         assert "mismatch at offset 101" in err
+
+    def test_length_overflow_is_an_error(self, capsys, tmp_path, corpus_file):
+        # 66 doubling rules expand to 2**66 bytes: rejected before any is compared.
+        doubling = Grammar((97,), ((0, 0),) + tuple((i, i) for i in range(1, 66)))
+        grammar_path = tmp_path / "doubling.fgz"
+        grammar_path.write_bytes(grammar_to_bytes(doubling))
+        code, _, err = run(capsys, "verify", "--grammar", str(grammar_path), "--text", corpus_file[0])
+        assert code == 2
+        assert "length overflow" in err
 
 
 class TestStatsSpace:

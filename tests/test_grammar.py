@@ -28,6 +28,8 @@ from fras import (
 from helpers import fresh_violations, naive_expand, naive_rule_expansions, random_grammar, random_text
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
+# 66 doubling rules expand to 2**66 characters (TestExpansionLengths.test_overflow).
+DOUBLING = Grammar(alphabet=(97,), rules=((0, 0),) + tuple((i, i) for i in range(1, 66)))
 MAX_TEXT_LENGTH = fras.grammar.MAX_TEXT_LENGTH
 
 
@@ -113,6 +115,14 @@ class TestExpansionLengths:
         g = Grammar(alphabet=(97,), rules=tuple(rules))
         with pytest.raises(GrammarError, match="length overflow"):
             expansion_lengths(g)
+
+    def test_overflow_in_stats_and_expand(self):
+        with pytest.raises(GrammarError, match="length overflow"):
+            stats(DOUBLING)
+        # Raised before the first chunk: past the bound expand would
+        # otherwise stream until memory runs out.
+        with pytest.raises(GrammarError, match="length overflow"):
+            next(expand_chunks(DOUBLING))
 
 
 class TestSortAndRenumber:
