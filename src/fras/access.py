@@ -29,12 +29,16 @@ memo in one bottom-up pass; building, loading and ``access`` never create it.
 Entries are read off the grammar's bodies alone, so a corrupted length table
 or bitvector cannot put wrong bytes into it.
 
-The memo is an index's only mutable state.  It is set once, to a table that
-never changes afterwards, and threads that race to build it build equal
-tables, so any number of threads may query an index concurrently.
+The memo is an index's only mutable state.  It is a table that never
+changes once stored, with a plain attribute store, which keeps the
+instance's attributes inline.  Threads that race to build it build equal
+tables and either store may win, so any number of threads may query an
+index concurrently.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .grammar import (
     MAX_TEXT_LENGTH,
@@ -124,7 +128,7 @@ class _Index:
                 if memo is None:
                     # No total budget: the memo holds every rule within its limit.
                     table = _small_expansions(g, _MEMO_RULE_LIMIT, MAX_TEXT_LENGTH)
-                    memo = vars(self).setdefault("_memo", table)
+                    self._memo = memo = table
                 _walk_leaves(g.rules, len(g.alphabet), stack, out, count - 1, memo)
                 del out[count:]
         except (ValueError, IndexError) as exc:
@@ -198,32 +202,30 @@ class FrasIndex(_Index):
     """
 
     def __init__(self, grammar: Grammar, bitvector_kind: str):
-        lengths = expansion_lengths(grammar)
-        n = lengths[-1]
+        lengths = np.array(expansion_lengths(grammar), np.uint64)
+        shorter = np.flatnonzero(lengths[1:] < lengths[:-1])
+        if len(shorter):
+            j = int(shorter[0]) + 2
+            raise AccessError(
+                "malformed-index",
+                f"rules are not sorted by expansion length: rule {j} is shorter than rule {j - 1}",
+            )
+        first = np.ones(len(lengths), bool)  # the first rule of each length
+        first[1:] = lengths[1:] != lengths[:-1]
+        first = first.nonzero()[0]
+        n = int(lengths[-1])
 
-        unique: list[int] = []
-        first_positions: list[int] = []
-        for j, ln in enumerate(lengths, start=1):
-            if not unique or ln > unique[-1]:
-                unique.append(ln)
-                first_positions.append(j)
-            elif ln < unique[-1]:
-                raise AccessError(
-                    "malformed-index",
-                    f"rules are not sorted by expansion length: rule {j} is shorter than rule {j - 1}",
-                )
-
-        start_positions: list[int] = []
-        pos = 1
+        # Each start symbol begins one past the lengths of the symbols before it.
         sigma = len(grammar.alphabet)
-        for c in grammar.rules[-1]:
-            start_positions.append(pos)
-            pos += 1 if c < sigma else lengths[c - sigma]
+        by_code = np.concatenate((np.ones(sigma, np.uint64), lengths))
+        start = grammar.rules[-1]
+        sizes = by_code[np.fromiter(start, np.int64, len(start))]
+        start_positions = np.cumsum(sizes) - sizes + 1
 
         self.grammar = grammar
-        self.unique_lengths = tuple(unique)
+        self.unique_lengths = tuple(lengths[first].tolist())
         # One bit per rule: first of its length.
-        self.rule_marks = build_bitvector(first_positions, len(grammar.rules), bitvector_kind)
+        self.rule_marks = build_bitvector(first + 1, len(grammar.rules), bitvector_kind)
         # One bit per text position starting a start symbol.
         self.start_marks = build_bitvector(start_positions, n, bitvector_kind)
         self.n = n

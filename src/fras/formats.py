@@ -21,7 +21,11 @@ constructor, ``FolkloreIndex`` or ``FrasIndex``, as
 the grammar.  ``grammar_from_bytes`` checks the grammar; the constructor
 and ``index_to_bytes`` reuse its cached result.  A FRAS grammar must
 already be sorted by expansion length and a folklore grammar must be in
-CNF, so re-serializing a loaded index is byte-identical.
+CNF, so re-serializing a loaded index is byte-identical.  A load reports
+the first check that fails, in this order: the index magic, a cut before
+the kind byte, the kind byte, the grammar magic, the reader's own checks
+(see ``grammar_from_bytes``), the grammar check, and last the
+constructor's sortedness or CNF check.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import sys
 from array import array
 from typing import Iterable
+
+import numpy as np
 
 from .access import AccessError, FolkloreIndex, FrasIndex
 from .grammar import Grammar, require_valid
@@ -109,7 +115,14 @@ def _text_to_binary(data: bytes) -> bytes:
 def grammar_from_bytes(data: bytes) -> Grammar:
     """Read a ``.fgz`` grammar, or a ``.fgt`` one re-encoded as ``.fgz``, and validate it.
 
-    The rules are sliced out of one list of the u32 words after the alphabet.
+    The errors come in the order of the checks: the magic, a cut inside
+    the header, a rule count or body-length word that runs past the end of
+    the data, data after the last body, then the grammar check.  The u32
+    words after the alphabet are mapped, in one gather, to one int object
+    per code, and each body is a slice of that one tuple, so every body
+    that uses a code shares its int.  A code at or past ``sigma + m`` maps
+    to ``sigma + m``, which the check reports as out of range.  Nothing is
+    sized by the rule count before it is checked against the data.
     """
     if data[: len(TEXT_MAGIC)] == TEXT_MAGIC.encode("ascii"):
         data = _text_to_binary(data)
@@ -121,13 +134,19 @@ def grammar_from_bytes(data: bytes) -> Grammar:
     nwords = (len(data) - start) // 4
     if len(data) < head or nwords < 1:
         raise FormatError("unexpected end of input")
-    words = _unpack("I", data[start : start + 4 * nwords]).tolist()
+    words = _unpack("I", data[start : start + 4 * nwords])
+    m = words[0]
+    if m >= nwords:  # each rule takes at least its body-length word
+        raise FormatError("unexpected end of input")
+    # One int per code; every word at or past sigma + m becomes sigma + m.
+    codes = np.arange(sigma + m + 1).astype(object)
+    shared = tuple(codes.take(np.frombuffer(words, np.uint32), mode="clip").tolist())
     rules = []
     pos = 1
-    for _ in range(words[0]):
+    for _ in range(m):
         if pos == nwords or (end := pos + 1 + words[pos]) > nwords:
             raise FormatError("unexpected end of input")
-        rules.append(tuple(words[pos + 1 : end]))
+        rules.append(shared[pos + 1 : end])
         pos = end
     if start + 4 * pos != len(data):
         raise FormatError("trailing data after grammar")

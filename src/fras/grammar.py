@@ -11,7 +11,10 @@ the full text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
+
+import numpy as np
 
 # Expansion lengths are stored as 64-bit unsigned quantities.
 MAX_TEXT_LENGTH = 2**64 - 1
@@ -58,7 +61,17 @@ class Grammar:
 
 
 def _check(g: Grammar) -> tuple[str, ...]:
-    """Every broken structural invariant as ``"<kind> at rule <j>"``."""
+    """Every broken structural invariant as ``"<kind> at rule <j>"``.
+
+    The bodies are flattened into one int64 symbol array, and array passes
+    over it flag empty bodies, out-of-range symbols (a symbol that does not
+    fit int64 among them), forward references and, by a ``bincount`` of the
+    backward references, unused rules.  Only the flagged rules are
+    formatted.  The order is that of one scan of the rules in id order:
+    ``bad alphabet`` and ``no rules`` first, then each rule's empty body or
+    its symbols' kinds in the order its body first shows them, then the
+    unused rules; each ``(kind, rule)`` appears once.
+    """
     found: dict[tuple[str, int], None] = {}  # in first-found order, each once
     sigma = len(g.alphabet)
     if list(g.alphabet) != sorted(set(g.alphabet)) or any(
@@ -68,22 +81,31 @@ def _check(g: Grammar) -> tuple[str, ...]:
     m = len(g.rules)
     if m == 0:
         found["no rules", 0] = None
-    used = [False] * (m + 1)
-    for j, body in enumerate(g.rules, start=1):
-        if not body:
-            found["empty body", j] = None
-        for c in body:
-            if c < 0 or c >= sigma + m:
-                found["out-of-range symbol", j] = None
-            elif c >= sigma:
-                rid = c - sigma + 1
-                if rid >= j:
-                    found["forward reference", j] = None
-                else:
-                    used[rid] = True
-    for j in range(1, m):
-        if not used[j]:
-            found["unused rule", j] = None
+    sizes = np.fromiter(map(len, g.rules), np.int64, m)
+    total = int(sizes.sum())
+    try:
+        sym = np.fromiter(chain.from_iterable(g.rules), np.int64, total)
+    except OverflowError:
+        wide = chain.from_iterable(g.rules)
+        sym = np.fromiter((c if -(2**63) <= c < 2**63 else -1 for c in wide), np.int64, total)
+    # Rule j is code sigma + j - 1, and its body may refer only to codes in
+    # [sigma, that code): the rules before it.
+    own = np.repeat(np.arange(sigma, sigma + m), sizes)  # each symbol's rule's code
+    flagged = np.flatnonzero((sym < 0) | (sym >= own))  # out of range or forward
+    empty = np.flatnonzero(sizes == 0) + 1
+    if len(flagged) or len(empty):
+        bad = sym[flagged]
+        rule = np.concatenate((empty, own[flagged] - (sigma - 1)))
+        forward = (bad >= 0) & (bad < sigma + m)
+        code = np.concatenate((np.zeros(len(empty), np.int64), 1 + forward))
+        names = ("empty body", "out-of-range symbol", "forward reference")  # by code
+        # Stable, so each rule's symbols stay in body order; an empty body has none.
+        order = np.argsort(rule, kind="stable")
+        for j, k in zip(rule[order].tolist(), code[order].tolist()):
+            found[names[k], j] = None
+    uses = np.bincount(sym[(sym >= sigma) & (sym < own)] - sigma, minlength=m)
+    for j in (np.flatnonzero(uses[: m - 1] == 0) + 1).tolist():
+        found["unused rule", j] = None
     return tuple(f"{kind} at rule {j}" for kind, j in found)
 
 
@@ -259,8 +281,14 @@ def binarize_cnf(g: Grammar) -> Grammar:
     adds ``ceil(log2 k)`` levels, and on RePair output (binary rules
     plus a start rule S) the CNF depth is ``stats(g).depth + ceil(log2
     |S|)``.  Unary bodies alias the referenced rule, the start rule's
-    included.  Every node is reachable from the start rule's, which is
-    made last, so the output validates too.
+    included.
+
+    The output is valid whenever the input is, so it carries over the
+    input's (empty) check result: proxies and pair rules are made before
+    any body references them, so every reference points backward; every
+    code is a proxy's or a pair rule's, so none is out of range; no body is
+    empty; and every node is reachable from the start node, which is made
+    last, so no rule is unused.
     """
     require_valid(g)
     sigma = len(g.alphabet)
@@ -291,7 +319,9 @@ def binarize_cnf(g: Grammar) -> Grammar:
             ]
             mapped = paired + mapped[2 * len(paired) :]
         bmap[j] = mapped[0]
-    return Grammar(g.alphabet, tuple(out))
+    cnf = Grammar(g.alphabet, tuple(out))
+    object.__setattr__(cnf, "_violations", g._violations)
+    return cnf
 
 
 def inline_single_use(g: Grammar) -> Grammar:

@@ -9,9 +9,14 @@ Neither keeps a select index: select bisects over the plain vector's rank
 directory, or over the sparse vector's bucket table.  Both are immutable
 after construction.
 
-Construction is vectorized with numpy; the finished tables are exact-size
-``array.array`` objects, because queries read them one element at a time,
-which is faster on an ``array.array`` than on a numpy array.
+Construction is vectorized with numpy, with no ``ufunc.at`` and no
+``searchsorted``: the positions increase, so the bits that share a word are
+distinct and a word is the sum of its bits (``add.reduceat`` over the plain
+words, a row sum over the sparse low-bit slots), and the sparse bucket table
+is a ``bincount`` of the high parts plus a ``cumsum``.  The finished tables
+are exact-size ``array.array`` objects, because queries read them one
+element at a time, which is faster on an ``array.array`` than on a numpy
+array.
 """
 
 from __future__ import annotations
@@ -69,7 +74,14 @@ class PlainBitvector:
         self.num_set = len(pos)
         v = pos - 1
         words = np.zeros((universe + 63) // 64 + 1, np.uint64)
-        np.bitwise_or.at(words, v >> 6, np.uint64(1) << (v & 63))
+        if len(v):
+            # The positions increase, so the bits of one word are distinct
+            # and their sum is their union.
+            w = v >> 6
+            first = np.ones(len(w), bool)  # where each word's first bit is
+            first[1:] = w[1:] != w[:-1]
+            first = first.nonzero()[0]
+            words[w[first]] = np.add.reduceat(np.uint64(1) << (v & 63), first)
         self._words = _exact_array("Q", words)
         self._build_directories(words)
 
@@ -145,15 +157,18 @@ class SparseBitvector:
         # every slot is empty, and one word holds them all.
         per = self._per = 64 // w if w else b
         v = pos - 1
-        slot = np.arange(b, dtype=np.uint64)
-        low_words = np.zeros(-(-b // per), np.uint64)
-        np.bitwise_or.at(low_words, slot // per, (v & self._mask) << (slot % per * w))
+        # One row of slots per word; the slots' bits are disjoint, so a
+        # row's sum is its word.
+        slots = np.zeros(-(-b // per) * per, np.uint64)
+        slots[:b] = v & self._mask
+        shifts = np.arange(per, dtype=np.uint64) * np.uint64(w)
+        low_words = (slots.reshape(-1, per) << shifts).sum(axis=1, dtype=np.uint64)
         self._low_words = _exact_array("Q", low_words)
 
-        buckets = v >> w
-        self._num_buckets = int(buckets[-1]) + 1
+        counts = np.bincount((v >> w).astype(np.intp))
+        self._num_buckets = len(counts)
         # The first rank of each bucket, and num_set after the last one.
-        starts = np.searchsorted(buckets, np.arange(self._num_buckets + 1, dtype=np.uint64))
+        starts = np.concatenate(([0], np.cumsum(counts)))
         self._bucket_start = _exact_array("I" if b < 2**32 else "Q", starts)
 
     @property

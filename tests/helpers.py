@@ -3,8 +3,9 @@
 Everything here is intentionally independent of the library's own code
 paths: expansion is done by full per-rule string materialization, rank
 and select by scanning position lists, and the pair-replacement reference
-is the plain sequential algorithm.  ``fresh_violations`` is the exception:
-it runs the library's own ``validate``, on a copy that has no cached result.
+is the plain sequential algorithm, and ``naive_violations`` checks a
+grammar one symbol at a time.  ``fresh_violations`` is the exception: it
+runs the library's own ``validate``, on a copy that has no cached result.
 """
 
 import random
@@ -39,6 +40,36 @@ def naive_expand(g: Grammar) -> bytes:
 def fresh_violations(g: Grammar) -> tuple[str, ...]:
     """``validate`` of a new object with g's fields, so no result cached on g is reused."""
     return validate(Grammar(g.alphabet, g.rules))
+
+
+def naive_violations(g: Grammar) -> tuple[str, ...]:
+    """``validate``'s tuple, from one scan of the rules and their symbols in order."""
+    found: dict[tuple[str, int], None] = {}  # in first-found order, each once
+    sigma = len(g.alphabet)
+    if list(g.alphabet) != sorted(set(g.alphabet)) or any(
+        not 0 <= b <= 255 for b in g.alphabet
+    ):
+        found["bad alphabet", 0] = None
+    m = len(g.rules)
+    if m == 0:
+        found["no rules", 0] = None
+    used = [False] * (m + 1)
+    for j, body in enumerate(g.rules, start=1):
+        if not body:
+            found["empty body", j] = None
+        for c in body:
+            if c < 0 or c >= sigma + m:
+                found["out-of-range symbol", j] = None
+            elif c >= sigma:
+                rid = c - sigma + 1
+                if rid >= j:
+                    found["forward reference", j] = None
+                else:
+                    used[rid] = True
+    for j in range(1, m):
+        if not used[j]:
+            found["unused rule", j] = None
+    return tuple(f"{kind} at rule {j}" for kind, j in found)
 
 
 def naive_rank(positions, i):

@@ -397,6 +397,15 @@ class TestPassCounts:
         assert passes["check"] == 1
         assert passes["lengths"] <= 2
 
+    def test_folklore_index_of_a_non_cnf_grammar(self, capsys, tmp_path, files, passes):
+        # binarize_cnf carries the read grammar's check over to its output.
+        passes.clear()
+        code, _, err = run(
+            capsys, "index", "--grammar", files[1], "--structure", "folklore", "--output", str(tmp_path / "t.fix")
+        )
+        assert code == 0 and "binarizing" in err
+        assert passes["check"] == 1
+
     def test_verify_command(self, capsys, files, passes):
         passes.clear()
         code, out, _ = run(capsys, "verify", "--grammar", files[1], "--text", files[0])

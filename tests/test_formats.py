@@ -1,5 +1,8 @@
 import functools
+import gc
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from fras import (
     index_to_bytes,
     inline_single_use,
     repair_compress,
+    repetitive_text,
     sort_and_renumber,
 )
 from fras.cli import main
@@ -244,6 +248,64 @@ class TestIndexRoundTrip:
         assert loaded.n == n
         assert [loaded.access(p) for p in (1, 2**63, n)] == [97, 97, 98]
         assert loaded.extract(n - 2, 3) == b"aab"
+
+
+def bitvector_tables(bv):
+    """What a bitvector holds, its arrays as typecode and bytes."""
+    names = ("_words", "_supers", "_blocks") if bv.kind == "plain" else (
+        "_w", "_per", "_num_buckets", "_low_words", "_bucket_start"
+    )
+    fields = [getattr(bv, name) for name in names]
+    return [bv.kind, bv.universe, bv.num_set] + [
+        (f.typecode, f.tobytes()) if isinstance(f, array) else f for f in fields
+    ]
+
+
+def heap_bytes(make):
+    """The Python heap that what ``make()`` returns holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        made = make()  # noqa: F841 (held while the heap is read)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadedEqualsBuilt:
+    """A loaded index has the built index's tables, one int per code and no more heap."""
+
+    BUILDS = {
+        "fras-sparse": lambda g: build_fras(g, "sparse"),
+        "fras-plain": lambda g: build_fras(g, "plain"),
+        "folklore": lambda g: build_folklore(binarize_cnf(g)),
+    }
+
+    # Each grammar has more than 257 codes, so its ints are not all cached small ints.
+    @pytest.fixture(
+        scope="class",
+        params=[repetitive_text(2048, 8, 0.01, 3), repetitive_text(1024, 16, 0.02, 4), random_text(random.Random(5), 6000, 4)],
+        ids=["repetitive-8", "repetitive-16", "random"],
+    )
+    def grammar(self, request):
+        return repair_compress(request.param)
+
+    @pytest.mark.parametrize("kind", BUILDS)
+    def test_loaded_index(self, kind, grammar):
+        built = self.BUILDS[kind](grammar)
+        data = index_to_bytes(built)
+        loaded = index_from_bytes(data)
+        assert loaded.n == built.n
+        if kind == "folklore":
+            assert loaded.left_lengths == built.left_lengths
+        else:
+            assert loaded.unique_lengths == built.unique_lengths
+            for bv, ref in ((loaded.rule_marks, built.rule_marks), (loaded.start_marks, built.start_marks)):
+                assert bitvector_tables(bv) == bitvector_tables(ref)
+        rules = loaded.grammar.rules
+        assert len({id(c) for body in rules for c in body}) <= len(loaded.grammar.alphabet) + len(rules)
+        built_heap = heap_bytes(lambda: self.BUILDS[kind](grammar))
+        assert heap_bytes(lambda: index_from_bytes(data)) <= built_heap * 1.01
 
 
 class TestIndexErrors:

@@ -25,7 +25,14 @@ from fras import (
     stats,
     validate,
 )
-from helpers import fresh_violations, naive_expand, naive_rule_expansions, random_grammar, random_text
+from helpers import (
+    fresh_violations,
+    naive_expand,
+    naive_rule_expansions,
+    naive_violations,
+    random_grammar,
+    random_text,
+)
 
 SINGLE_A = Grammar(alphabet=(97,), rules=((0,),))
 # 66 doubling rules expand to 2**66 characters (TestExpansionLengths.test_overflow).
@@ -62,6 +69,70 @@ class TestValidate:
     def test_bad_alphabet(self):
         g = Grammar(alphabet=(99, 97), rules=((0, 1),))
         assert "bad alphabet at rule 0" in validate(g)
+
+
+def mutate(rng: random.Random, g: Grammar) -> Grammar:
+    """g with one symbol out of range or forward, one body emptied, or one reference dropped."""
+    sigma, m = len(g.alphabet), len(g.rules)
+    rules = [list(body) for body in g.rules]
+    how = rng.randrange(4)
+    j = rng.randrange(m)  # 0-based
+    if how < 2 and not rules[j]:
+        return g
+    if how == 0:
+        bad = rng.choice((-1, sigma + m, 2**63, 2**64, -(2**63) - 1))
+        rules[j][rng.randrange(len(rules[j]))] = bad
+    elif how == 1:
+        # A reference to rule j + 1 or a later one, which only rules after it may make.
+        rules[j][rng.randrange(len(rules[j]))] = sigma + rng.randrange(j, m)
+    elif how == 2:
+        rules[j] = []
+    else:
+        refs = [(k, i) for k, body in enumerate(rules) for i, c in enumerate(body) if c >= sigma]
+        if refs:
+            k, i = rng.choice(refs)
+            del rules[k][i]
+    return Grammar(g.alphabet, tuple(tuple(body) for body in rules))
+
+
+class TestCheckMatchesNaive:
+    """``validate`` returns the per-symbol reference check's tuple, in its order."""
+
+    def test_random_valid_grammars(self):
+        rng = random.Random(167)
+        for _ in range(200):
+            g = random_grammar(rng)
+            assert validate(g) == naive_violations(g) == ()
+
+    def test_mutants(self):
+        rng = random.Random(173)
+        kinds = Counter()
+        for _ in range(1500):
+            g = random_grammar(rng)
+            for _ in range(rng.choice((1, 1, 2, 3, 4))):
+                g = mutate(rng, g)
+            expected = naive_violations(g)
+            assert validate(g) == expected
+            kinds.update(v.split(" at ")[0] for v in expected)
+        assert set(kinds) == {
+            "out-of-range symbol",
+            "forward reference",
+            "empty body",
+            "unused rule",
+        }
+
+    @pytest.mark.parametrize("bad", [-1, 3, 2**63, 2**64, -(2**63) - 1])
+    def test_kinds_in_body_order(self, bad):
+        # Code 1 is rule 1's own; 2**63 and past do not fit int64.
+        g = Grammar((97,), ((bad, 1), (0, 1)))
+        assert validate(g) == ("out-of-range symbol at rule 1", "forward reference at rule 1")
+        g = Grammar((97,), ((1, bad), (0, 1)))
+        assert validate(g) == ("forward reference at rule 1", "out-of-range symbol at rule 1")
+
+    def test_largest_int64_symbol_with_no_terminals(self):
+        # Rule 1 is code 0 here; a check that offsets the codes must not wrap.
+        g = Grammar((), ((2**63 - 1,), (0,)))
+        assert validate(g) == naive_violations(g) == ("out-of-range symbol at rule 1",)
 
 
 class TestInvalidGrammarRejected:

@@ -1,4 +1,6 @@
 import random
+from array import array
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -306,3 +308,38 @@ def test_rank_select_at_scale_built_and_loaded(seed, align):
         for i in range(0, universe + 1, 13):
             assert bv.rank(i) == ranks[i]
         assert bv.rank(universe) == len(positions)
+
+
+def reference_tables(positions, universe, kind):
+    """The bitvector's arrays, set one position at a time."""
+    if kind == "plain":
+        words = [0] * ((universe + 63) // 64 + 1)
+        for p in positions:
+            words[(p - 1) >> 6] |= 1 << ((p - 1) & 63)
+        return {"_words": array("Q", words)}
+    b = len(positions)
+    w = max(0, (universe // b).bit_length() - 1)
+    per = 64 // w if w else b
+    low = [0] * -(-b // per)
+    for r, p in enumerate(positions):
+        low[r // per] |= ((p - 1) & ((1 << w) - 1)) << (r % per * w)
+    buckets = [(p - 1) >> w for p in positions]
+    starts = [bisect_left(buckets, k) for k in range(buckets[-1] + 2)]
+    return {"_low_words": array("Q", low), "_bucket_start": array("I", starts)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "sparse"])
+def test_tables_match_a_per_position_reference(kind):
+    rng = random.Random(181)
+    cases = [([1], 1), ([64, 65], 65), (list(range(1, 200)), 199), ([2**64 - 1], 2**64 - 1)]
+    for _ in range(150):
+        universe = rng.choice((rng.randint(1, 100), rng.randint(100, 5000), rng.randint(1, 2**40)))
+        b = rng.randint(1, min(universe, 300))
+        cases.append((sorted(rng.sample(range(1, universe + 1), b)), universe))
+    for positions, universe in cases:
+        if kind == "plain" and universe > 10**6:
+            continue
+        bv = build_bitvector(positions, universe, kind)
+        for name, ref in reference_tables(positions, universe, kind).items():
+            table = getattr(bv, name)
+            assert (table.typecode, table.tobytes()) == (ref.typecode, ref.tobytes())
